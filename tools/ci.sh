@@ -112,9 +112,10 @@ fi
 # trsm dispatch pinned to the scalar kernels, once with the packed-panel
 # cache disabled. Bit-identity makes both pure performance toggles, so the
 # full test set must pass unchanged — proving the scalar fallback and the
-# cache-off path stay correct on every commit.
+# cache-off path stay correct on every commit. The scalar run adds test_qr:
+# qr_factor's blocked panel rides the same gemm dispatch.
 HETGRID_GEMM_KERNEL=scalar ctest --test-dir build-ci --output-on-failure \
-      -j "$NPROC" -R '^(test_mp|test_runtime_parallel|test_task_graph)$'
+      -j "$NPROC" -R '^(test_mp|test_runtime_parallel|test_task_graph|test_qr)$'
 HETGRID_PACK_CACHE=0 ctest --test-dir build-ci --output-on-failure \
       -j "$NPROC" -R '^(test_mp|test_runtime_parallel|test_task_graph)$'
 
