@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "matrix/buffer_pool.hpp"
 #include "matrix/gemm_kernel.hpp"
 #include "matrix/packed_cache.hpp"
 #include "obs/metrics.hpp"
@@ -284,6 +285,7 @@ PanelRef resolve_a(PackedPanelCache* cache, PackTag tag, Trans trans_a,
                                     pack_meta(false, trans_a, kern), 0};
     ref.owned = cache->get(key, [&] {
       PackedPanel p;
+      p.data = BufferPool::global().take(a.rows() * a.cols());
       build_pack_a(trans_a, a, kern, p);
       return p;
     });
@@ -305,6 +307,7 @@ PanelRef resolve_b(PackedPanelCache* cache, PackTag tag, Trans trans_b,
                                     alpha_bits_of(alpha)};
     ref.owned = cache->get(key, [&] {
       PackedPanel p;
+      p.data = BufferPool::global().take(b.rows() * b.cols());
       build_pack_b(trans_b, alpha, b, kern, p);
       return p;
     });

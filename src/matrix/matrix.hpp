@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -96,6 +97,14 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double init = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, init) {}
+  /// Adopts `storage` (exactly rows * cols doubles, contents kept) — how a
+  /// pooled buffer becomes a matrix without a fill.
+  Matrix(std::size_t rows, std::size_t cols, std::vector<double>&& storage)
+      : rows_(rows), cols_(cols), data_(std::move(storage)) {
+    HG_CHECK(data_.size() == rows * cols,
+             "storage of " << data_.size() << " doubles for a " << rows
+                           << "x" << cols << " matrix");
+  }
 
   static Matrix identity(std::size_t n);
 
@@ -130,6 +139,13 @@ class Matrix {
 
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
+
+  /// Hands the storage out (e.g. back to a BufferPool), leaving an empty
+  /// 0 x 0 matrix.
+  std::vector<double> release_storage() {
+    rows_ = cols_ = 0;
+    return std::move(data_);
+  }
 
  private:
   std::size_t rows_ = 0, cols_ = 0;

@@ -1,5 +1,6 @@
 #include "matrix/packed_cache.hpp"
 
+#include "matrix/buffer_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace hetgrid {
@@ -36,7 +37,13 @@ std::shared_ptr<const PackedPanel> PackedPanelCache::get(
     }
   }
   metric_count("gemm.pack_misses");
-  auto panel = std::make_shared<const PackedPanel>(build());
+  // Payloads go back to the process-wide pool when the last user lets go,
+  // so the next run's packs of the same size reuse them.
+  std::shared_ptr<const PackedPanel> panel(
+      new PackedPanel(build()), [](PackedPanel* p) {
+        BufferPool::global().give(std::move(p->data));
+        delete p;
+      });
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -60,6 +67,19 @@ void PackedPanelCache::evict_to_fit_locked() {
     held_ -= victim.panel->doubles();
     index_.erase(victim.key);
     lru_.pop_back();
+  }
+}
+
+void PackedPanelCache::drop_stale(std::uint64_t id, std::uint64_t version) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->key.id == id && it->key.version < version) {
+      held_ -= it->panel->doubles();
+      index_.erase(it->key);
+      it = lru_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 

@@ -59,9 +59,12 @@ struct PackedPanel {
 /// LRU cache of PackedPanels, bounded by total doubles held.
 class PackedPanelCache {
  public:
-  /// Default bound: 1M doubles (8 MiB) per cache — a few dozen packed
-  /// 256-wide blocks, far more than one trailing-update sweep touches.
-  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
+  /// Default bound: 512K doubles (4 MiB) per cache — eight packed
+  /// 256-wide blocks, more than one trailing-update step touches. On an
+  /// n = 2048, 4 x 4 grid run, halving the earlier 8 MiB bound left every
+  /// kernel's hit count unchanged and cut a matrix multiply's working set
+  /// from 389 to 302 MiB: the extra packs were stale ones.
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 19;
 
   explicit PackedPanelCache(std::size_t capacity_doubles = kDefaultCapacity)
       : capacity_(capacity_doubles) {}
@@ -83,6 +86,12 @@ class PackedPanelCache {
   /// (outside the lock). Counts gemm.pack_hits / gemm.pack_misses.
   std::shared_ptr<const PackedPanel> get(
       const Key& key, const std::function<PackedPanel()>& build);
+
+  /// Drops every entry of operand `id` with a version below `version`:
+  /// packs of data since rewritten or erased, which no reader asks for
+  /// again. Their payloads go back to the buffer pool now rather than when
+  /// LRU order reaches them.
+  void drop_stale(std::uint64_t id, std::uint64_t version);
 
   std::size_t size() const;            // entries held
   std::size_t held_doubles() const;    // total payload doubles held

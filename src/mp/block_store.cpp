@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "matrix/buffer_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace hetgrid {
@@ -15,9 +16,18 @@ std::uint64_t shape_key(std::size_t rows, std::size_t cols) {
 
 }  // namespace
 
+BlockStore::~BlockStore() {
+  BufferPool& global = BufferPool::global();
+  for (auto& [key, m] : blocks_) global.give(m.release_storage());
+  for (auto& [shape, shelf] : pool_)
+    for (Matrix& m : shelf) global.give(m.release_storage());
+}
+
 void BlockStore::put(BlockKey key, Matrix block) {
-  bump_version(key);
-  blocks_[key] = std::move(block);
+  pack_cache_.drop_stale(pack_id(key), bump_version(key));
+  Matrix& slot = blocks_[key];
+  if (!slot.empty()) BufferPool::global().give(slot.release_storage());
+  slot = std::move(block);
 }
 
 MatrixView BlockStore::at(BlockKey key) {
@@ -37,7 +47,7 @@ ConstMatrixView BlockStore::at(BlockKey key) const {
 void BlockStore::erase(BlockKey key) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return;
-  bump_version(key);
+  pack_cache_.drop_stale(pack_id(key), bump_version(key));
   Matrix& m = it->second;
   if (!m.empty()) {
     auto& shelf = pool_[shape_key(m.rows(), m.cols())];
@@ -45,6 +55,7 @@ void BlockStore::erase(BlockKey key) {
       shelf.push_back(std::move(m));
     } else {
       metric_count("block_store.pool_evictions");
+      BufferPool::global().give(m.release_storage());
     }
   }
   blocks_.erase(it);
@@ -59,7 +70,7 @@ Matrix BlockStore::acquire(std::size_t rows, std::size_t cols) {
     return m;
   }
   metric_count("block_store.pool_misses");
-  return Matrix(rows, cols);
+  return Matrix(rows, cols, BufferPool::global().take(rows * cols));
 }
 
 void BlockStore::reserve(std::size_t blocks) { blocks_.reserve(blocks); }

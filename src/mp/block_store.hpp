@@ -51,12 +51,21 @@ struct BlockKeyHash {
 /// locally stored block contents. Freed payloads (transient panel copies
 /// erased at step boundaries) are pooled per shape and recycled by
 /// acquire(), so the steady state of a kernel run performs no heap
-/// allocation for block traffic after the first step.
+/// allocation for block traffic after the first step. Past the per-shape
+/// pool, and when the store is destroyed, payloads go to the process-wide
+/// BufferPool (matrix/buffer_pool.hpp), which acquire() also draws on, so
+/// the next kernel run reuses this one's memory.
 class BlockStore {
  public:
+  BlockStore() = default;
+  BlockStore(const BlockStore&) = delete;
+  BlockStore& operator=(const BlockStore&) = delete;
+  ~BlockStore();  // hands every payload to the global BufferPool
+
   /// Inserts (or overwrites) a block copy; the payload is moved in.
   /// Bumps the key's write version (as does erase), so packed panels of the
-  /// previous contents become unreachable in the pack cache.
+  /// previous contents become unreachable in the pack cache, and drops
+  /// them from it.
   void put(BlockKey key, Matrix block);
 
   /// Mutable access; throws PreconditionError if the block is not local —
@@ -72,8 +81,9 @@ class BlockStore {
   void erase(BlockKey key);
 
   /// Returns an uninitialized rows x cols block, recycling a pooled buffer
-  /// of that exact shape when one is available (contents are stale — the
-  /// caller must overwrite them, typically via copy_from).
+  /// of that exact shape — this store's, else the global BufferPool's —
+  /// when one is available (contents are stale: the caller must overwrite
+  /// them, typically via copy_from).
   Matrix acquire(std::size_t rows, std::size_t cols);
 
   /// Pre-sizes the hash table for `blocks` resident blocks so scatter and
@@ -112,10 +122,10 @@ class BlockStore {
   /// The processor-local packed-operand cache (see matrix/packed_cache.hpp).
   PackedPanelCache& pack_cache() { return pack_cache_; }
 
-  /// Per-shape cap on pooled free buffers. erase() drops (frees) a payload
-  /// instead of pooling it once its shape's pool is full, counting
-  /// block_store.pool_evictions — the bound that keeps long runs from
-  /// accumulating every transient shape they ever saw.
+  /// Per-shape cap on pooled free buffers. erase() hands a payload on to
+  /// the global BufferPool instead of pooling it once its shape's pool is
+  /// full, counting block_store.pool_evictions — the bound that keeps long
+  /// runs from accumulating every transient shape they ever saw.
   static constexpr std::size_t kDefaultPoolCapPerShape = 8;
   void set_pool_capacity(std::size_t per_shape) { pool_cap_ = per_shape; }
   std::size_t pool_capacity() const { return pool_cap_; }

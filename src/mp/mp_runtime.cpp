@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "core/rebalance.hpp"
+#include "matrix/buffer_pool.hpp"
 #include "matrix/cholesky.hpp"
 #include "matrix/gemm.hpp"
 #include "matrix/lu.hpp"
@@ -646,9 +647,9 @@ void scatter(MpContext& ctx, const ConstMatrixView& m, std::size_t which,
     for (std::size_t bj = 0; bj < nbc; ++bj) {
       const std::size_t jlo = block_lo(bj, ctx.block);
       const std::size_t jlen = block_len(bj, ctx.block, m.cols());
-      Matrix blk(ilen, jlen);
-      blk.view().copy_from(m.block(ilo, jlo, ilen, jlen));
       const std::size_t id = ctx.owner_pid(bi, bj);
+      Matrix blk = ctx.store[id].acquire(ilen, jlen);
+      blk.view().copy_from(m.block(ilo, jlo, ilen, jlen));
       if (ctx.rebalance && which < ctx.loc.size())
         ctx.loc[which][bi * ctx.loc_cols + bj] = id;
       ctx.store[id].put(BlockKey{which * nbr + bi, bj}, std::move(blk));
@@ -1284,7 +1285,8 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
     // the diagonal owner (the feeder copies and the owner's own previous
     // trailing updates); everything else keeps running.
     ctx.host_sync(diag_id, panel_keys);
-    Matrix panel(rows - klo, klen);
+    Matrix panel(rows - klo, klen,
+                 BufferPool::global().take((rows - klo) * klen));
     for (std::size_t bi = k; bi < nbr; ++bi) {
       const std::size_t ilen = block_len(bi, block, rows);
       panel.view()
@@ -1322,6 +1324,7 @@ MpQrReport run_mp_qr(const Machine& machine, const Distribution2D& dist,
       ctx.note_host_work(diag_id, {t_key},
                          ctx.cycle_time(diag_id) * t_units, "t-form");
     }
+    BufferPool::global().give(panel.release_storage());
 
     // --- Send the factored panel back down the owner grid column (also
     // restores the owners' blocks, so this runs even at the last step).
