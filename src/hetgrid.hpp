@@ -13,9 +13,12 @@
 //      arrangement and rational row/column shares (core/).
 //   3. PanelDistribution::from_allocation to turn shares into a B_p x B_q
 //      block panel with the 4-neighbor grid property (dist/).
-//   4. simulate_mmm / simulate_lu / simulate_qr to predict performance, or
-//      run_distributed_* to execute the kernels in virtual time (sim/,
-//      runtime/).
+//   4. simulate_mmm / simulate_lu / simulate_qr / simulate_cholesky to
+//      predict performance (optionally under drift and online
+//      rebalancing), or run_mp_* to execute the kernels with real numerics
+//      on the message-passing runtime, whose block math runs on one
+//      dependency-driven task graph (sim/, mp/). run_distributed_* in
+//      runtime/ is the older virtual-time executor.
 #pragma once
 
 #include "core/alloc1d.hpp"           // IWYU pragma: export
@@ -53,7 +56,6 @@
 #include "serve/server.hpp"           // IWYU pragma: export
 #include "serve/solution_cache.hpp"   // IWYU pragma: export
 #include "sim/drift.hpp"              // IWYU pragma: export
-#include "sim/dynamic.hpp"            // IWYU pragma: export
 #include "sim/network.hpp"            // IWYU pragma: export
 #include "sim/simulator.hpp"          // IWYU pragma: export
 #include "svd/svd.hpp"                // IWYU pragma: export

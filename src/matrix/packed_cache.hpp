@@ -14,7 +14,7 @@
 // underlying data (BlockStore::bump_version, called at op-emission time on
 // the host thread). A pack of stale data is therefore never *returned* — it
 // is simply unreachable, because every reader asks for the current version —
-// which is what makes the scheme safe under the DAG scheduler's reordering:
+// which is what makes the scheme safe under the task graph's reordering:
 // the version a task looks up is captured at emission, and the task-graph
 // dependencies guarantee the block's bytes match that version when the task
 // runs. Stale entries age out through the LRU bound.
@@ -22,9 +22,9 @@
 // Bit-identity: a packed panel is a pure copy of the operand (plus an exact
 // alpha fold for B panels), so cache hit vs miss can never change a computed
 // bit — asserted end-to-end in tests across {cache on, off} x kernels x
-// schedulers x thread counts.
+// thread counts.
 //
-// Thread safety: get() may be called concurrently by DAG-scheduler workers.
+// Thread safety: get() may be called concurrently by task-graph workers.
 // A mutex guards the map; the pack itself is built outside the lock (two
 // concurrent misses both build — byte-identical — panels and the first
 // insert wins). Entries are handed out as shared_ptr so eviction can never

@@ -11,7 +11,10 @@
 //     contended network, and later steps' panel broadcasts overlap earlier
 //     steps' updates, exactly as a well-written MPI code behaves;
 //   * numerics are real: the gathered results are verified against the
-//     sequential kernels by the tests.
+//     sequential kernels by the tests;
+//   * the real block math runs as util/task_graph tasks ordered only by
+//     their block read/write dependencies, so phases of successive steps
+//     overlap on the wall clock as well.
 //
 // The paper's own MPI experiments live in its companion paper [4]; this
 // runtime is the faithful stand-in (see DESIGN.md's substitution table).
@@ -50,16 +53,13 @@ struct MpQrReport : MpReport {
 /// per-step panels travel by ring broadcasts, and the owned C blocks are
 /// gathered into `c` at the end.
 ///
-/// All run_mp_* entry points honor `opts.threads`: each step's independent
-/// per-processor block updates fan out across a worker pool while every
-/// clock, counter, and trace span is computed on the host thread — the
-/// MpReport, the trace, and the gathered matrix are bit-identical for any
-/// thread count (see doc/parallel_runtime.md).
-///
-/// They also honor `opts.scheduler`: kBarrier (default) flushes the batch
-/// at every phase boundary, kDag emits the same ops into a dependency
-/// graph keyed by (processor, block) so phases of successive steps overlap
-/// — with identical results, reports, and traces either way (same doc).
+/// All run_mp_* entry points emit their block math into a dependency graph
+/// keyed by (processor, block), so phases of successive steps overlap, and
+/// honor `opts.threads`: the graph's tasks run on that many workers (1 runs
+/// each task inline as it is submitted) while every clock, counter, and
+/// trace span is computed on the host thread — the MpReport, the trace, and
+/// the gathered matrix are bit-identical for any thread count (see
+/// doc/parallel_runtime.md).
 MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
                     const ConstMatrixView& a, const ConstMatrixView& b,
                     MatrixView c, std::size_t block,
@@ -76,11 +76,10 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
 /// trailing update until after the next step's panel and triangular
 /// solves — the classic lookahead optimization that takes the panel
 /// factorization off the critical path. Numerical results are identical;
-/// only the virtual schedule changes. Under `opts.scheduler = kDag` the
-/// same overlap also happens for real on the wall clock (next-panel
-/// updates run at elevated priority and the host only waits on the
-/// diagonal block's dependency chain); the flag keeps controlling the
-/// virtual-time model independently, in either scheduler.
+/// only the virtual schedule changes. The task graph runs the same overlap
+/// for real on the wall clock whatever the flag (next-panel updates run at
+/// elevated priority and the host only waits on the diagonal block's
+/// dependency chain); the flag controls the virtual-time model only.
 MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                    MatrixView a, std::size_t block,
                    const KernelCosts& costs = {}, bool lookahead = false,

@@ -5,7 +5,7 @@
 // A RunObservation is the per-run collection vessel: instrumented backends
 // (mp/mp_runtime, sim/simulator) fetch the installed one with a single
 // atomic load and, when present, feed their per-task charges into its
-// CycleTimeEstimator and deposit the dag scheduler's task records at
+// CycleTimeEstimator and deposit the MP task graph's records at
 // finish. Installing an observation never changes any computed result —
 // MpReport, gathered matrices, and trace streams stay bit-identical.
 //
@@ -17,7 +17,7 @@
 //   - per-processor busy / idle / slack (slack: how much earlier the lane
 //     finished than the makespan — pure tail slack, while idle also counts
 //     in-run gaps);
-//   - critical-path attribution from the dag scheduler's task records: the
+//   - critical-path attribution from the MP task graph's records: the
 //     heaviest weighted dependency chain, aggregated into (processor,
 //     op-name) segments, so "which lane's which phase held the run" is one
 //     table;
@@ -54,7 +54,7 @@ struct RunObservation {
       : estimator(opt) {}
 
   CycleTimeEstimator estimator;
-  std::vector<TaskRecord> tasks;  // dag scheduler records (empty otherwise)
+  std::vector<TaskRecord> tasks;  // MP task-graph records (empty for sim)
   /// Applied rebalances in step order (written by the host at the panel
   /// boundary that acted; empty when the rebalancer is off or never acted).
   std::vector<RebalanceEvent> rebalances;

@@ -1,13 +1,31 @@
-// Bulk-synchronous simulation of the paper's three kernels on a
-// heterogeneous 2D grid under any periodic block distribution.
+// Bulk-synchronous simulation of the paper's kernels on a heterogeneous 2D
+// grid under any periodic block distribution.
 //
 // The simulator replays the outer-product matrix multiplication
-// (Section 3.1) and the right-looking LU / QR factorizations (Section 3.2)
-// step by step, charging each processor its owned block operations at its
-// cycle-time and each row/column broadcast at the network model's cost. It
-// reports the makespan, its compute/communication split, per-processor busy
-// times, and the per-step perfect-balance lower bound — everything the
-// strategy-comparison benchmarks need.
+// (Section 3.1) and the right-looking LU / QR / Cholesky factorizations
+// (Section 3.2) step by step, charging each processor its owned block
+// operations at its cycle-time and each row/column broadcast at the network
+// model's cost. It reports the makespan, its compute/communication split,
+// per-processor busy times, and the per-step perfect-balance lower bound —
+// everything the strategy-comparison benchmarks need.
+//
+// The same step models also carry the online-rebalancing study
+// (doc/rebalance.md), driven by the optional RuntimeOptions:
+//
+//   * time-varying effective rates — every per-step charge is scaled by
+//     `opts.trace` (sim/drift.hpp), so a straggler that slows down mid-run
+//     is priced step by step;
+//   * the panel-boundary rebalancer — with `opts.rebalance = kPanel` an
+//     internal CycleTimeEstimator (configured by `opts.estimator`) watches
+//     the traced charges, and at every boundary plan_rebalance() re-solves
+//     the trailing allocation from the estimated rates. When it acts, the
+//     live row/column slot maps are rewritten and the migration bill is
+//     charged to that step's communication time.
+//
+// With the default options (rebalance off, empty trace) no factor is
+// multiplied and the original distribution is consulted directly: the
+// paper's static model. Rebalancing requires an aligned (grid-pattern)
+// distribution, exactly like the message-passing runtime.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +73,15 @@ struct SimReport {
   double perfect_compute_bound = 0.0;
   /// Per-step timeline (one record per block step, in order).
   std::vector<StepRecord> steps;
+  /// Rebalancer activity (all zero / empty with rebalancing off):
+  /// `resolves` counts the boundaries where a re-solve actually ran (guards
+  /// passed), `migrations` the boundaries that acted, `blocks_moved` the
+  /// total owner changes (already including the per-kernel block
+  /// multiplier — 3 for MMM), `events` the applied rebalances in step order.
+  std::size_t resolves = 0;
+  std::size_t migrations = 0;
+  std::size_t blocks_moved = 0;
+  std::vector<RebalanceEvent> events;
 
   /// Average fraction of the makespan processors spend computing.
   double average_utilization() const;
@@ -74,21 +101,21 @@ struct KernelCosts {
                               // GEMM update, like the LU panel)
 };
 
-/// Host-execution options for the numerics-executing backends (the
-/// virtual-time runtime in src/runtime and the message-passing runtime in
-/// src/mp). `threads` fans each step's independent per-processor block
-/// updates across a util/thread_pool worker pool; 0 means all hardware
-/// threads, 1 (the default) runs serially inline. Virtual clocks, message
-/// counters, and trace spans are always computed on the host thread, and
-/// the floating-point results are bit-identical for every thread count
-/// (see doc/parallel_runtime.md for the contract).
+/// Execution options shared by the simulator and the numerics-executing
+/// backends (the virtual-time runtime in src/runtime and the
+/// message-passing runtime in src/mp).
 ///
-/// `scheduler` selects how the MP runtime orders its real block math:
-/// kBarrier flushes a TaskBatch at every phase boundary (bulk-synchronous,
-/// the fallback), kDag emits a util/task_graph whose block-versioned
-/// read/write dependencies alone order the work, so step k+1's panel chain
-/// overlaps step k's trailing updates. Both schedulers produce bit-identical
-/// reports, traces, and matrices at every thread count.
+/// `threads` sizes the MP runtime's task-graph worker pool (and the
+/// virtual runtime's per-step fan-out); 0 means all hardware threads, 1
+/// (the default) runs every task inline on the host in submission order.
+/// Virtual clocks, message counters, and trace spans are always computed on
+/// the host thread, and the floating-point results are bit-identical for
+/// every thread count (see doc/parallel_runtime.md for the contract).
+///
+/// `scheduler` has a single value: the MP runtime always orders its block
+/// math through a util/task_graph. Nothing reads the field; it remains only
+/// for source compatibility with callers that still assign it.
+///
 /// `rebalance` arms the online rebalancer (doc/rebalance.md): at every
 /// panel boundary the backend re-solves the allocation from its internal
 /// cycle-time estimator (configured by `estimator`) and, when the
@@ -97,11 +124,11 @@ struct KernelCosts {
 /// off. `trace` plants time-varying cycle-times (drift scenarios); an empty
 /// trace is the static paper model.
 struct RuntimeOptions {
-  enum class Scheduler { kBarrier, kDag };
+  enum class Scheduler { kDag };
   enum class Rebalance { kOff, kPanel };
 
   unsigned threads = 1;
-  Scheduler scheduler = Scheduler::kBarrier;
+  Scheduler scheduler = Scheduler::kDag;
   Rebalance rebalance = Rebalance::kOff;
   RebalanceOptions rebalance_opts;
   CycleTimeEstimator::Options estimator;
@@ -113,11 +140,14 @@ struct RuntimeOptions {
 /// broadcast followed by the full rank-r update sweep.
 ///
 /// All simulate_* functions optionally stream their timeline into `sink`
-/// (compute/broadcast spans per processor, one phase marker per step; see
-/// doc/observability.md). A null sink costs nothing.
+/// (compute/broadcast spans per processor, one phase marker per step and
+/// one per applied rebalance; see doc/observability.md). A null sink costs
+/// nothing. `opts` adds drift and rebalancing (header comment); its
+/// `threads` field is ignored here.
 SimReport simulate_mmm(const Machine& machine, const Distribution2D& dist,
                        std::size_t nb, const KernelCosts& costs = {},
-                       TraceSink* sink = nullptr);
+                       TraceSink* sink = nullptr,
+                       const RuntimeOptions& opts = {});
 
 /// Simulates the right-looking LU factorization (Section 3.2): at step k,
 /// panel factorization in the owner column, L broadcast along rows, U
@@ -125,13 +155,15 @@ SimReport simulate_mmm(const Machine& machine, const Distribution2D& dist,
 /// update of blocks (I > k, J > k).
 SimReport simulate_lu(const Machine& machine, const Distribution2D& dist,
                       std::size_t nb, const KernelCosts& costs = {},
-                      TraceSink* sink = nullptr);
+                      TraceSink* sink = nullptr,
+                      const RuntimeOptions& opts = {});
 
 /// Simulates the right-looking Householder QR (same communication pattern
 /// as LU, heavier panel and update flops).
 SimReport simulate_qr(const Machine& machine, const Distribution2D& dist,
                       std::size_t nb, const KernelCosts& costs = {},
-                      TraceSink* sink = nullptr);
+                      TraceSink* sink = nullptr,
+                      const RuntimeOptions& opts = {});
 
 /// Simulates the right-looking Cholesky factorization (lower variant): at
 /// step k the owner column factors/solves the panel, the L21 panel is
@@ -140,6 +172,7 @@ SimReport simulate_qr(const Machine& machine, const Distribution2D& dist,
 SimReport simulate_cholesky(const Machine& machine,
                             const Distribution2D& dist, std::size_t nb,
                             const KernelCosts& costs = {},
-                            TraceSink* sink = nullptr);
+                            TraceSink* sink = nullptr,
+                            const RuntimeOptions& opts = {});
 
 }  // namespace hetgrid

@@ -1,8 +1,8 @@
 // Shared parallel execution engine for the numerics-executing backends.
 //
-// The distributed runtimes (src/runtime's virtual-time executor, src/mp's
-// message-passing runtime) and the large-block GEMM path fan their real
-// floating-point block updates out through this engine while all
+// The virtual-time executor (src/runtime) and the threaded GEMM overload
+// fan their real floating-point block updates out through this engine
+// (src/mp orders its block math through util/task_graph instead) while all
 // virtual-time accounting, message counting, and trace emission stays on
 // the host thread. The determinism contract (doc/parallel_runtime.md):
 //
@@ -63,13 +63,6 @@ class TaskBatch {
 
   void add(std::size_t group, std::function<void()> op) {
     lanes_[group].push_back(std::move(op));
-  }
-
-  /// Pre-sizes every lane for roughly `ops` pending ops, so the first
-  /// round does not grow its std::function vectors geometrically. Later
-  /// rounds re-reserve from their own previous counts (see run()).
-  void hint(std::size_t ops) {
-    for (auto& lane : lanes_) lane.reserve(std::max(lane.capacity(), ops));
   }
 
   /// Runs all pending ops (blocking) and clears the lanes for reuse. Each

@@ -1,5 +1,5 @@
 // A small fixed-size worker pool for CPU-bound fan-out (the parallel exact
-// solver's prefix tasks, the parallel numerics engine, the dag scheduler's
+// solver's prefix tasks, the parallel numerics engine, the MP task graph's
 // pump closures). Tasks are plain std::function<void()>; submit() is
 // thread-safe, wait_idle() blocks until every submitted task has finished,
 // and the pool is reusable across wait_idle() rounds.

@@ -2,9 +2,10 @@
 // plan_rebalance()'s act/hold thresholds and minimal-churn slot remapping,
 // the estimated-rate-grid overlay, the drift traces the rebalancer is
 // evaluated against, the EWMA-alpha contract (alpha = 1 reproduces
-// instantaneous rates), the dynamic bulk-synchronous simulators (off ==
-// static bit for bit; a planted 4x straggler rebalanced to within 15% of
-// the imbalance report's balanced lower bound), the message-passing
+// instantaneous rates), the bulk-synchronous simulators under drift and
+// rebalancing (off pinned to the static model's exact reports; a planted 4x
+// straggler rebalanced to within 15% of the imbalance report's balanced
+// lower bound; a trace sink that changes no result), the message-passing
 // runtime's migration path (same acceptance scenario with real numerics),
 // and migration x packed-panel-cache coherence.
 #include <gtest/gtest.h>
@@ -22,8 +23,8 @@
 #include "obs/cycle_estimator.hpp"
 #include "obs/imbalance.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/drift.hpp"
-#include "sim/dynamic.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -32,7 +33,6 @@ namespace hetgrid {
 namespace {
 
 using Rebalance = RuntimeOptions::Rebalance;
-using Scheduler = RuntimeOptions::Scheduler;
 
 bool same_bits(const ConstMatrixView& a, const ConstMatrixView& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
@@ -49,6 +49,10 @@ Machine uniform_machine(std::size_t p, std::size_t q) {
   return Machine{CycleTimeGrid(p, q, std::vector<double>(p * q, 1.0)),
                  NetworkModel{Topology::kSwitched, 1.0e-4, 2.0e-4, true}};
 }
+
+using SimFn = SimReport (*)(const Machine&, const Distribution2D&,
+                            std::size_t, const KernelCosts&, TraceSink*,
+                            const RuntimeOptions&);
 
 // The planted-straggler acceptance scenario (EXPERIMENTS section 16): a
 // uniform 2x2 grid whose first grid row (processors 0 and 1) runs 4x
@@ -247,37 +251,46 @@ TEST(EstimatorAlpha, AlphaOneReproducesInstantaneousRates) {
 
 // ----------------------------------------------------- dynamic simulators
 
-TEST(DynamicSim, OffWithEmptyTraceMatchesStaticSimulators) {
-  // Gated off, the dynamic entry points must reproduce the static
-  // simulators' reports exactly — same totals, same per-processor busy
-  // times, no rebalancer activity.
+TEST(DynamicSim, OffWithEmptyTraceReproducesTheStaticModel) {
+  // Gated off, the simulators must reproduce the static step model
+  // exactly: these are the reports of the pre-merge static simulators for
+  // this configuration, pinned bit for bit (hex floats), with no
+  // rebalancer activity.
   const Machine machine{
       CycleTimeGrid(2, 2, {1.0, 2.0, 3.0, 6.0}),
       NetworkModel{Topology::kSwitched, 1.0e-4, 2.0e-4, true}};
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t nb = 8;
 
-  struct Pair {
-    SimReport stat;
-    DynamicSimReport dyn;
+  struct Pin {
+    SimReport rep;
+    double total, compute, comm, perfect;
+    std::vector<double> busy;
   };
-  const Pair pairs[] = {
-      {simulate_mmm(machine, dist, nb), simulate_mmm_dynamic(machine, dist, nb)},
-      {simulate_lu(machine, dist, nb), simulate_lu_dynamic(machine, dist, nb)},
-      {simulate_qr(machine, dist, nb), simulate_qr_dynamic(machine, dist, nb)},
-      {simulate_cholesky(machine, dist, nb),
-       simulate_cholesky_dynamic(machine, dist, nb)}};
-  for (const Pair& p : pairs) {
-    SCOPED_TRACE(p.stat.kernel);
-    EXPECT_EQ(p.stat.total_time, p.dyn.total_time);
-    EXPECT_EQ(p.stat.compute_time, p.dyn.compute_time);
-    EXPECT_EQ(p.stat.comm_time, p.dyn.comm_time);
-    EXPECT_EQ(p.stat.perfect_compute_bound, p.dyn.perfect_compute_bound);
-    EXPECT_EQ(p.stat.busy, p.dyn.busy);
-    EXPECT_EQ(p.stat.steps.size(), p.dyn.steps.size());
-    EXPECT_EQ(p.dyn.resolves, 0u);
-    EXPECT_EQ(p.dyn.migrations, 0u);
-    EXPECT_TRUE(p.dyn.events.empty());
+  const Pin pins[] = {
+      {simulate_mmm(machine, dist, nb), 0x1.8001d7dbf488p+9, 0x1.8p+9,
+       0x1.d7dbf487fcb92p-7, 0x1p+8, {0x1p+7, 0x1p+8, 0x1.8p+8, 0x1.8p+9}},
+      {simulate_lu(machine, dist, nb), 0x1.51023a29c779ap+8, 0x1.51p+8,
+       0x1.1d14e3bcd35a9p-7, 0x1.58p+6,
+       {0x1.2p+5, 0x1.5p+6, 0x1.f8p+6, 0x1.38p+8}},
+      {simulate_qr(machine, dist, nb), 0x1.9a011d14e3bcdp+9, 0x1.9ap+9,
+       0x1.1d14e3bcd35a9p-7, 0x1.98p+7,
+       {0x1.6p+6, 0x1.9p+7, 0x1.2cp+8, 0x1.68p+9}},
+      {simulate_cholesky(machine, dist, nb), 0x1.c203fe5c91d15p+7,
+       0x1.c2p+7, 0x1.ff2e48e8a71dfp-8, 0x1.98p+5,
+       {0x1.9p+4, 0x1.1p+5, 0x1.2cp+6, 0x1.a4p+7}}};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.rep.kernel);
+    EXPECT_EQ(pin.rep.total_time, pin.total);
+    EXPECT_EQ(pin.rep.compute_time, pin.compute);
+    EXPECT_EQ(pin.rep.comm_time, pin.comm);
+    EXPECT_EQ(pin.rep.perfect_compute_bound, pin.perfect);
+    EXPECT_EQ(pin.rep.busy, pin.busy);
+    EXPECT_EQ(pin.rep.steps.size(), nb);
+    EXPECT_EQ(pin.rep.resolves, 0u);
+    EXPECT_EQ(pin.rep.migrations, 0u);
+    EXPECT_EQ(pin.rep.blocks_moved, 0u);
+    EXPECT_TRUE(pin.rep.events.empty());
   }
 }
 
@@ -292,14 +305,14 @@ TEST(DynamicSim, StragglerRebalanceBeatsStaticAndApproachesBound) {
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t nb = 20;
 
-  const DynamicSimReport stat =
-      simulate_mmm_dynamic(machine, dist, nb, straggler_options(Rebalance::kOff));
+  const SimReport stat = simulate_mmm(machine, dist, nb, {}, nullptr,
+                                      straggler_options(Rebalance::kOff));
   EXPECT_EQ(stat.migrations, 0u);
 
   const RuntimeOptions opts = straggler_options(Rebalance::kPanel);
   RunObservation obs(opts.estimator);
   RunObservation* prev = install_observation(&obs);
-  const DynamicSimReport reb = simulate_mmm_dynamic(machine, dist, nb, opts);
+  const SimReport reb = simulate_mmm(machine, dist, nb, {}, nullptr, opts);
   install_observation(prev);
 
   // One decisive migration at the first boundary, moving 120 owner changes
@@ -332,28 +345,93 @@ TEST(DynamicSim, FactorizationsRebalanceUnderStraggler) {
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t nb = 24;
 
-  using Fn = DynamicSimReport (*)(const Machine&, const Distribution2D&,
-                                  std::size_t, const RuntimeOptions&,
-                                  const KernelCosts&);
-  const Fn kernels[] = {&simulate_lu_dynamic, &simulate_qr_dynamic,
-                        &simulate_cholesky_dynamic};
-  for (Fn fn : kernels) {
-    const DynamicSimReport stat =
-        fn(machine, dist, nb, straggler_options(Rebalance::kOff), {});
-    const DynamicSimReport reb =
-        fn(machine, dist, nb, straggler_options(Rebalance::kPanel), {});
+  const SimFn kernels[] = {&simulate_lu, &simulate_qr, &simulate_cholesky};
+  for (SimFn fn : kernels) {
+    const SimReport stat =
+        fn(machine, dist, nb, {}, nullptr, straggler_options(Rebalance::kOff));
+    const SimReport reb = fn(machine, dist, nb, {}, nullptr,
+                             straggler_options(Rebalance::kPanel));
     SCOPED_TRACE(stat.kernel);
     EXPECT_GE(reb.migrations, 1u);
     EXPECT_LT(reb.total_time, stat.total_time);
   }
 }
 
+TEST(DynamicSim, TraceSinkChangesNoResultWithOrWithoutRebalancing) {
+  // Attaching a sink is a pure tap for all four kernels, both on the
+  // static model and on the rebalanced straggler scenario: the traced
+  // report equals the untraced one field for field, and the traced
+  // per-processor accounting still satisfies busy + idle == makespan.
+  const Machine machine = uniform_machine(2, 2);
+  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
+  const std::size_t nb = 24;
+  const SimFn kernels[] = {&simulate_mmm, &simulate_lu, &simulate_qr,
+                           &simulate_cholesky};
+  const RuntimeOptions setups[] = {RuntimeOptions{},
+                                   straggler_options(Rebalance::kPanel)};
+  for (const RuntimeOptions& opts : setups) {
+    for (SimFn fn : kernels) {
+      const SimReport plain = fn(machine, dist, nb, {}, nullptr, opts);
+      MemoryTraceSink sink;
+      const SimReport traced = fn(machine, dist, nb, {}, &sink, opts);
+      SCOPED_TRACE(testing::Message()
+                   << plain.kernel << " rebalance="
+                   << (opts.rebalance == Rebalance::kPanel));
+      EXPECT_EQ(traced.kernel, plain.kernel);
+      EXPECT_EQ(traced.distribution, plain.distribution);
+      EXPECT_EQ(traced.total_time, plain.total_time);
+      EXPECT_EQ(traced.compute_time, plain.compute_time);
+      EXPECT_EQ(traced.comm_time, plain.comm_time);
+      EXPECT_EQ(traced.busy, plain.busy);
+      EXPECT_EQ(traced.perfect_compute_bound, plain.perfect_compute_bound);
+      ASSERT_EQ(traced.steps.size(), plain.steps.size());
+      for (std::size_t i = 0; i < plain.steps.size(); ++i) {
+        EXPECT_EQ(traced.steps[i].step, plain.steps[i].step);
+        EXPECT_EQ(traced.steps[i].panel, plain.steps[i].panel);
+        EXPECT_EQ(traced.steps[i].row, plain.steps[i].row);
+        EXPECT_EQ(traced.steps[i].update, plain.steps[i].update);
+        EXPECT_EQ(traced.steps[i].comm, plain.steps[i].comm);
+      }
+      EXPECT_EQ(traced.resolves, plain.resolves);
+      EXPECT_EQ(traced.migrations, plain.migrations);
+      EXPECT_EQ(traced.blocks_moved, plain.blocks_moved);
+      ASSERT_EQ(traced.events.size(), plain.events.size());
+      for (std::size_t i = 0; i < plain.events.size(); ++i) {
+        EXPECT_EQ(traced.events[i].step, plain.events[i].step);
+        EXPECT_EQ(traced.events[i].current_sweep,
+                  plain.events[i].current_sweep);
+        EXPECT_EQ(traced.events[i].proposed_sweep,
+                  plain.events[i].proposed_sweep);
+        EXPECT_EQ(traced.events[i].migration_cost,
+                  plain.events[i].migration_cost);
+        EXPECT_EQ(traced.events[i].blocks_moved,
+                  plain.events[i].blocks_moved);
+      }
+      if (opts.rebalance == Rebalance::kPanel) {
+        EXPECT_GE(plain.migrations, 1u);
+      }
+
+      ASSERT_FALSE(sink.events().empty());
+      const TraceSummary sum =
+          summarize_trace(sink.events(), 4, traced.total_time);
+      EXPECT_GE(sum.makespan, traced.total_time);
+      for (std::size_t id = 0; id < 4; ++id) {
+        EXPECT_NEAR(sum.procs[id].busy_time + sum.procs[id].idle_time,
+                    sum.makespan, 1e-9 * sum.makespan);
+        // Compute spans reproduce the simulator's own busy accounting.
+        EXPECT_NEAR(sum.procs[id].compute_time, traced.busy[id],
+                    1e-9 * traced.total_time);
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- MP runtime
 
-TEST(MpRebalance, OffIsBitIdenticalAcrossThreadsAndSchedulers) {
+TEST(MpRebalance, OffIsBitIdenticalAcrossThreads) {
   // With the rebalancer off, a drift trace only reshapes virtual time:
   // the gathered product must stay bit-identical to the trace-free run,
-  // and makespan/bits must agree across thread counts and schedulers.
+  // and makespan/bits must agree across thread counts.
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 24, block = 4;
@@ -367,21 +445,17 @@ TEST(MpRebalance, OffIsBitIdenticalAcrossThreadsAndSchedulers) {
 
   double makespan = -1.0;
   for (unsigned threads : {1u, 2u, 7u}) {
-    for (Scheduler sched : {Scheduler::kBarrier, Scheduler::kDag}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads << " dag="
-                                      << (sched == Scheduler::kDag));
-      RuntimeOptions opts = straggler_options(Rebalance::kOff);
-      opts.threads = threads;
-      opts.scheduler = sched;
-      Matrix c(n, n);
-      const MpReport rep = run_mp_mmm(machine, dist, a.view(), b.view(),
-                                      c.view(), block, {}, nullptr, opts);
-      EXPECT_TRUE(same_bits(plain.view(), c.view()));
-      EXPECT_EQ(rep.rebalances, 0u);
-      EXPECT_EQ(rep.rebalance_blocks, 0u);
-      if (makespan < 0.0) makespan = rep.makespan;
-      EXPECT_EQ(rep.makespan, makespan);
-    }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    RuntimeOptions opts = straggler_options(Rebalance::kOff);
+    opts.threads = threads;
+    Matrix c(n, n);
+    const MpReport rep = run_mp_mmm(machine, dist, a.view(), b.view(),
+                                    c.view(), block, {}, nullptr, opts);
+    EXPECT_TRUE(same_bits(plain.view(), c.view()));
+    EXPECT_EQ(rep.rebalances, 0u);
+    EXPECT_EQ(rep.rebalance_blocks, 0u);
+    if (makespan < 0.0) makespan = rep.makespan;
+    EXPECT_EQ(rep.makespan, makespan);
   }
 }
 
@@ -428,10 +502,10 @@ TEST(MpRebalance, StragglerMakespanDropsAndResultIsUnchanged) {
   EXPECT_LE(max_abs_diff(ref.view(), c_reb.view()), 1e-10);
 }
 
-TEST(MpRebalance, MigrationScheduleIsThreadAndSchedulerInvariant) {
+TEST(MpRebalance, MigrationScheduleIsThreadInvariant) {
   // Migration decisions are pure functions of the boundary snapshot, so
   // the applied schedule — and every downstream bit — must be identical
-  // across thread counts and schedulers.
+  // across thread counts.
   const Machine machine = uniform_machine(2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
   const std::size_t n = 40, block = 2;
@@ -443,27 +517,23 @@ TEST(MpRebalance, MigrationScheduleIsThreadAndSchedulerInvariant) {
   MpReport first_rep;
   bool have_first = false;
   for (unsigned threads : {1u, 2u, 7u}) {
-    for (Scheduler sched : {Scheduler::kBarrier, Scheduler::kDag}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads << " dag="
-                                      << (sched == Scheduler::kDag));
-      RuntimeOptions opts = straggler_options(Rebalance::kPanel);
-      opts.threads = threads;
-      opts.scheduler = sched;
-      Matrix lu = a;
-      const MpReport rep =
-          run_mp_lu(machine, dist, lu.view(), block, {}, false, nullptr, opts);
-      if (!have_first) {
-        first = lu;
-        first_rep = rep;
-        have_first = true;
-        EXPECT_GE(rep.rebalances, 1u);
-        continue;
-      }
-      EXPECT_TRUE(same_bits(first.view(), lu.view()));
-      EXPECT_EQ(rep.rebalances, first_rep.rebalances);
-      EXPECT_EQ(rep.rebalance_blocks, first_rep.rebalance_blocks);
-      EXPECT_EQ(rep.makespan, first_rep.makespan);
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    RuntimeOptions opts = straggler_options(Rebalance::kPanel);
+    opts.threads = threads;
+    Matrix lu = a;
+    const MpReport rep =
+        run_mp_lu(machine, dist, lu.view(), block, {}, false, nullptr, opts);
+    if (!have_first) {
+      first = lu;
+      first_rep = rep;
+      have_first = true;
+      EXPECT_GE(rep.rebalances, 1u);
+      continue;
     }
+    EXPECT_TRUE(same_bits(first.view(), lu.view()));
+    EXPECT_EQ(rep.rebalances, first_rep.rebalances);
+    EXPECT_EQ(rep.rebalance_blocks, first_rep.rebalance_blocks);
+    EXPECT_EQ(rep.makespan, first_rep.makespan);
   }
 }
 

@@ -675,8 +675,6 @@ TEST(GemmMetrics, CallCountersIdenticalAcrossThreadCounts) {
 
 // ----------------------------------------------------- packed-panel cache
 
-using Scheduler = RuntimeOptions::Scheduler;
-
 // Restores the pack-cache consumption toggle no matter how a test exits.
 struct PackCacheGuard {
   explicit PackCacheGuard(bool on) : prev_(gemm_set_pack_cache(on)) {}
@@ -695,12 +693,10 @@ struct KernelResults {
 // local trailing update is big enough for the packed microkernel path, so
 // the pack cache (when enabled) is genuinely on the line.
 KernelResults run_all_kernels(const Machine& machine,
-                              const Distribution2D& dist, Scheduler sched,
-                              unsigned threads) {
+                              const Distribution2D& dist, unsigned threads) {
   const std::size_t n = 140, block = 70;
   RuntimeOptions opts;
   opts.threads = threads;
-  opts.scheduler = sched;
   KernelResults r;
   {
     Rng rng(111);
@@ -733,10 +729,10 @@ KernelResults run_all_kernels(const Machine& machine,
   return r;
 }
 
-TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreadsScheduler) {
+TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreads) {
   // The acceptance matrix of the packed-panel cache: MMM, LU, Cholesky and
   // QR must produce byte-identical outputs across {scalar, avx2} x {cache
-  // on, off} x threads {1, 2, 7} x {barrier, dag}. The cache only skips
+  // on, off} x threads {1, 2, 7}. The cache only skips
   // redundant packing — pure data movement — so no cell of this product may
   // move a single bit.
   KernelGuard guard;
@@ -745,7 +741,7 @@ TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreadsScheduler) {
   ASSERT_TRUE(gemm_force_kernel("scalar"));
   const KernelResults base = [&] {
     PackCacheGuard cache_guard(true);
-    return run_all_kernels(machine, dist, Scheduler::kBarrier, 1);
+    return run_all_kernels(machine, dist, 1);
   }();
   const bool have_avx2 = gemm_force_kernel("avx2");
   for (const std::string_view kern : {"scalar", "avx2"}) {
@@ -754,19 +750,14 @@ TEST(PackCache, MpKernelsBitIdenticalAcrossKernelCacheThreadsScheduler) {
     for (bool cache_on : {true, false}) {
       PackCacheGuard cache_guard(cache_on);
       for (unsigned threads : {1u, 2u, 7u}) {
-        for (Scheduler sched : {Scheduler::kBarrier, Scheduler::kDag}) {
-          SCOPED_TRACE(testing::Message()
-                       << kern << " cache=" << cache_on
-                       << " threads=" << threads << " dag="
-                       << (sched == Scheduler::kDag));
-          const KernelResults got =
-              run_all_kernels(machine, dist, sched, threads);
-          EXPECT_TRUE(same_bits(base.mmm.view(), got.mmm.view()));
-          EXPECT_TRUE(same_bits(base.lu.view(), got.lu.view()));
-          EXPECT_TRUE(same_bits(base.chol.view(), got.chol.view()));
-          EXPECT_TRUE(same_bits(base.qr.view(), got.qr.view()));
-          EXPECT_EQ(base.tau, got.tau);
-        }
+        SCOPED_TRACE(testing::Message() << kern << " cache=" << cache_on
+                                        << " threads=" << threads);
+        const KernelResults got = run_all_kernels(machine, dist, threads);
+        EXPECT_TRUE(same_bits(base.mmm.view(), got.mmm.view()));
+        EXPECT_TRUE(same_bits(base.lu.view(), got.lu.view()));
+        EXPECT_TRUE(same_bits(base.chol.view(), got.chol.view()));
+        EXPECT_TRUE(same_bits(base.qr.view(), got.qr.view()));
+        EXPECT_EQ(base.tau, got.tau);
       }
     }
   }
@@ -837,11 +828,11 @@ TEST(PackCache, LuPacksEachPanelBlockOncePerStep) {
   // packs each trailing L/U panel block exactly once per step and serves
   // every other trailing-update gemm from the cache. Step k has
   // t = nb - 1 - k panel blocks per side and t^2 tagged gemms, so misses =
-  // sum_k 2t = 12 and hits = sum_k 2(t^2 - t) = 16. Exact counts are only
-  // pinned under the barrier scheduler with one thread: under dag
-  // concurrency two workers can both miss the same key before the first
-  // insert lands (the pack is then built twice, used once — still correct,
-  // just counted twice).
+  // sum_k 2t = 12 and hits = sum_k 2(t^2 - t) = 16. Exact counts are
+  // pinned with one thread, where the task graph runs every task inline:
+  // with several workers two tasks can both miss the same key before the
+  // first insert lands (the pack is then built twice, used once — still
+  // correct, just counted twice).
   KernelGuard guard;
   PackCacheGuard cache_guard(true);
   MetricsRegistry reg;

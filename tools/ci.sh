@@ -4,10 +4,11 @@
 # smoke run of the runtime-scaling bench (crosses the parallel numerics
 # engine's serial/parallel seam and asserts bit-identity), the placement
 # server's concurrent-loopback and throughput smokes with their regression
-# gates, a documentation link check, and finally a ThreadSanitizer pass
-# over the concurrent pieces (the exact solver's thread pool, the
-# message-passing runtime, the parallel numerics engine, and the placement
-# server) in build-tsan/.
+# gates, a documentation link check, a ThreadSanitizer pass over the
+# concurrent pieces (the exact solver's thread pool, the message-passing
+# runtime, the parallel numerics engine, and the placement server) in
+# build-tsan/, and finally the full test suite under AddressSanitizer +
+# UndefinedBehaviorSanitizer in build-asan/.
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
 # CMake >= 3.21 users can equivalently run `cmake --preset ci` etc.)
 set -eu
@@ -184,8 +185,8 @@ build-ci/tools/hetgrid observe --smoke=1
 
 # Rebalance smoke: the off-path of all four MP kernels must be
 # bit-identical to current behavior under a planted 4x straggler across
-# threads {1, 2, 7} x {barrier, dag}, and the rebalanced migration
-# schedule must be identical in every combination (doc/rebalance.md).
+# threads {1, 2, 7}, and the rebalanced migration schedule must be
+# identical at every thread count (doc/rebalance.md).
 build-ci/tools/hetgrid trace --rebalance=panel --smoke=1
 
 # MP QR trace smoke: the distributed QR path produces a non-empty trace.
@@ -193,12 +194,11 @@ build-ci/tools/hetgrid trace --times=1,2,3,6 --p=2 --q=2 --kernel=qr \
       --backend=mp --nb=4 --block=4 \
       --out=build-ci/trace_qr_smoke.json >/dev/null
 
-# Dag-scheduler trace smoke: each MP kernel runs end to end under the
-# dependency-driven scheduler (threaded, so the dataflow path is real).
+# Threaded trace smoke: each MP kernel runs end to end on two task-graph
+# workers, so the dataflow path is real.
 for kernel in mmm lu chol qr; do
   build-ci/tools/hetgrid trace --times=1,2,3,6 --p=2 --q=2 \
-        --kernel="$kernel" --backend=mp --nb=4 --block=4 \
-        --scheduler=dag --threads=2 \
+        --kernel="$kernel" --backend=mp --nb=4 --block=4 --threads=2 \
         --out="build-ci/trace_${kernel}_dag_smoke.json" >/dev/null
 done
 
@@ -211,3 +211,12 @@ cmake --build build-tsan -j "$NPROC" \
       --target test_thread_pool test_exact_parallel test_mp test_runtime_parallel test_profiler test_task_graph test_serve test_imbalance test_rebalance
 ctest --test-dir build-tsan --output-on-failure -j "$NPROC" \
       -R '^(test_thread_pool|test_exact_parallel|test_mp|test_runtime_parallel|test_profiler|test_task_graph|test_serve|test_imbalance|test_rebalance)$'
+
+# ASan + UBSan pass: the full test suite (mirrors the "asan" preset in
+# CMakePresets.json). Every MP test runs the task graph's deferred-erase and
+# in-place block-copy paths, which only this build checks for memory errors.
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer" \
+      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build build-asan -j "$NPROC"
+ctest --test-dir build-asan --output-on-failure -j "$NPROC"
