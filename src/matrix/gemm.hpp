@@ -1,8 +1,9 @@
 // General matrix multiply kernels.
 //
-// gemm computes C := alpha * op(A) * op(B) + beta * C with a cache-blocked
-// triple loop (jik order, column-major friendly). This is the compute kernel
-// the distributed outer-product algorithm calls on each local block update.
+// gemm computes C := alpha * op(A) * op(B) + beta * C on a register-blocked
+// microkernel (matrix/gemm_kernel.hpp), cache-blocked over packed tiles when
+// the problem is larger than one tile. This is the compute kernel the
+// distributed outer-product algorithm calls on each local block update.
 #pragma once
 
 #include <cstdint>
@@ -20,9 +21,11 @@ enum class Trans { No, Yes };
 
 /// C := alpha * op(A) * op(B) + beta * C.
 /// Shapes: op(A) is m x k, op(B) is k x n, C is m x n.
-/// The no-transpose path is cache-blocked with a branch-free saxpy inner
-/// loop; problems larger than one tile additionally pack the A/B tiles
-/// into contiguous buffers (pure data movement — the floating-point
+/// Every path runs the dispatched register-blocked microkernel. A
+/// no-transpose call of at most 64 x 64 x 128 (one distributed block
+/// update) is a single microkernel tile, with operands already in tile
+/// layout read in place; larger calls are cache-blocked and pack the A/B
+/// tiles into contiguous buffers (pure data movement — the floating-point
 /// operation sequence per C element is identical either way). Transposed
 /// operands are handled by the pack alone (the tiles are copied through
 /// op()), so every transpose combination runs on the same dispatched
@@ -87,8 +90,9 @@ struct PackTag {
 /// gemm(...), consulting `cache` for pre-packed operand panels. An operand
 /// with a valid tag is looked up by (tag, side, transpose, alpha for B,
 /// kernel blocking) and packed into the cache on a miss; a null cache,
-/// invalid tag, disabled cache (gemm_set_pack_cache), or a call on the
-/// small-problem fast path packs fresh exactly like gemm. Counts the
+/// invalid tag or disabled cache (gemm_set_pack_cache) packs fresh exactly
+/// like gemm, and a no-transpose call small enough for one microkernel tile
+/// runs exactly like gemm, never through the cache. Counts the
 /// gemm.pack_hits / gemm.pack_misses metrics on cache lookups.
 void gemm_cached(Trans trans_a, Trans trans_b, double alpha,
                  const ConstMatrixView& a, PackTag a_tag,
