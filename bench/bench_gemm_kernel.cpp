@@ -31,7 +31,7 @@
 #include "matrix/gemm.hpp"
 #include "matrix/norms.hpp"
 #include "util/check.hpp"
-#include "util/parallel_engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -50,7 +50,7 @@ bool same_bits(const ConstMatrixView& a, const ConstMatrixView& b) {
 
 struct Config {
   std::string kernel;  // "scalar" or "avx2"
-  unsigned threads;    // 1 = serial overload, >1 = ParallelEngine stripes
+  unsigned threads;    // 1 = serial overload, >1 = ThreadPool stripes
 };
 
 // Best wall clock, in ms, of `reps` timed calls of `run`, with `c` reset
@@ -128,9 +128,9 @@ int main(int argc, char** argv) {
       if (cfg.threads == 1) {
         gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, c.view());
       } else {
-        ParallelEngine engine(cfg.threads);
+        ThreadPool pool(cfg.threads);
         gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 1.0, c.view(),
-             engine);
+             pool);
       }
     });
     if (idx == 0) ref.view().copy_from(c.view());

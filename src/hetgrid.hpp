@@ -4,8 +4,8 @@
 // Kernels on Heterogeneous Two-dimensional Grids" (Beaumont, Boudet,
 // Rastello, Robert — IPPS 2000): data-allocation solvers for heterogeneous
 // p x q processor grids, the block-panel distributions they induce, and
-// simulators / a virtual-time runtime for the ScaLAPACK-style matrix
-// multiplication, LU, and QR kernels on top of them.
+// a simulator and a message-passing runtime for the ScaLAPACK-style matrix
+// multiplication, LU, QR, and Cholesky kernels on top of them.
 //
 // Typical flow:
 //   1. Measure or choose processor cycle-times (time per r x r block).
@@ -17,8 +17,7 @@
 //      predict performance (optionally under drift and online
 //      rebalancing), or run_mp_* to execute the kernels with real numerics
 //      on the message-passing runtime, whose block math runs on one
-//      dependency-driven task graph (sim/, mp/). run_distributed_* in
-//      runtime/ is the older virtual-time executor.
+//      dependency-driven task graph (sim/, mp/).
 #pragma once
 
 #include "core/alloc1d.hpp"           // IWYU pragma: export
@@ -50,7 +49,6 @@
 #include "obs/profiler.hpp"           // IWYU pragma: export
 #include "obs/trace.hpp"              // IWYU pragma: export
 #include "obs/utilization.hpp"        // IWYU pragma: export
-#include "runtime/virtual_runtime.hpp"   // IWYU pragma: export
 #include "serve/client.hpp"           // IWYU pragma: export
 #include "serve/protocol.hpp"         // IWYU pragma: export
 #include "serve/server.hpp"           // IWYU pragma: export

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,7 +12,7 @@
 #include "matrix/gemm_kernel.hpp"
 #include "matrix/packed_cache.hpp"
 #include "obs/metrics.hpp"
-#include "util/parallel_engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetgrid {
 
@@ -34,7 +35,7 @@ constexpr std::size_t kSmallK = 64;
 constexpr std::size_t kSmallN = 128;
 
 // Column-stripe alignment for the threaded overload. Also a fixed constant
-// (not the kernel's nc) so the stripe geometry — and with it the engine/pool
+// (not the kernel's nc) so the stripe geometry — and with it the pool's
 // task structure — never depends on the SIMD dispatch.
 constexpr std::size_t kStripePanel = 128;
 
@@ -380,7 +381,7 @@ void gemm_nn_blocked(double alpha, const ConstMatrixView& a,
   const std::size_t m = c.rows(), n = c.cols(), k = a.cols();
   const GemmKernel& kern = active_kernel();
   // Per-thread pack buffers: reused across calls (resize only grows the
-  // allocation), so the threaded stripes in gemm(..., engine) never share
+  // allocation), so the threaded stripes in gemm(..., pool) never share
   // them and a kernel switch mid-process just re-sizes on next use.
   thread_local std::vector<double> apack;
   thread_local std::vector<double> bpack;
@@ -490,7 +491,7 @@ void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
 
 void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
           const ConstMatrixView& b, double beta, MatrixView c,
-          ParallelEngine& engine) {
+          ThreadPool& pool) {
   check_shapes(trans_a, trans_b, a, b, c);
   const std::size_t n = c.cols();
   const std::size_t k = trans_a == Trans::No ? a.cols() : a.rows();
@@ -501,24 +502,31 @@ void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
   // is produced by exactly one stripe with the same i/p loop structure as
   // the serial path, so the result is bit-identical for any stripe count.
   const std::size_t panels = (n + kStripePanel - 1) / kStripePanel;
-  const std::size_t stripes =
-      std::min<std::size_t>(engine.threads(), panels);
-  if (engine.serial() || stripes <= 1) {
+  const std::size_t stripes = std::min<std::size_t>(pool.size(), panels);
+  if (stripes <= 1) {
     gemm_core(trans_a, trans_b, alpha, a, b, beta, c);
     return;
   }
-  engine.run_indexed(stripes, [&](std::size_t s) {
+  // The stripes write disjoint columns of C, and the operands outlive
+  // wait_idle(), so the closures may capture by reference.
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(stripes);
+  for (std::size_t s = 0; s < stripes; ++s) {
     const std::size_t j_lo = std::min(n, panels * s / stripes * kStripePanel);
     const std::size_t j_hi =
         std::min(n, panels * (s + 1) / stripes * kStripePanel);
-    if (j_lo >= j_hi) return;
+    if (j_lo >= j_hi) continue;
     const std::size_t jlen = j_hi - j_lo;
-    const ConstMatrixView bsub =
-        trans_b == Trans::No ? b.block(0, j_lo, b.rows(), jlen)
-                             : b.block(j_lo, 0, jlen, b.cols());
-    gemm_core(trans_a, trans_b, alpha, a, bsub, beta,
-              c.block(0, j_lo, c.rows(), jlen));
-  });
+    tasks.emplace_back([&, j_lo, jlen] {
+      const ConstMatrixView bsub =
+          trans_b == Trans::No ? b.block(0, j_lo, b.rows(), jlen)
+                               : b.block(j_lo, 0, jlen, b.cols());
+      gemm_core(trans_a, trans_b, alpha, a, bsub, beta,
+                c.block(0, j_lo, c.rows(), jlen));
+    });
+  }
+  pool.submit_batch(std::move(tasks));
+  pool.wait_idle();
 }
 
 void gemm_update(const ConstMatrixView& a, const ConstMatrixView& b,

@@ -13,7 +13,7 @@
 
 namespace hetgrid {
 
-class ParallelEngine;
+class ThreadPool;
 class PackedPanelCache;
 struct PackedPanel;
 
@@ -34,14 +34,16 @@ void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
           const ConstMatrixView& b, double beta, MatrixView c);
 
 /// Multithreaded large-block variant: partitions C into column stripes
-/// (aligned to whole cache panels) and runs one serial gemm per stripe on
-/// `engine`. Every column of C is computed by exactly one stripe with the
-/// serial loop structure, so the result is bit-identical to the serial
-/// gemm for any thread count. Falls back to the serial path when the
-/// engine is serial or the problem is a single panel wide.
+/// (aligned to whole cache panels), one per worker of `pool`, and runs one
+/// serial gemm per stripe. Every column of C is computed by exactly one
+/// stripe with the serial loop structure, so the result is bit-identical to
+/// the serial gemm for any worker count. Runs inline on the caller when
+/// the pool has one worker or the problem is a single panel wide. Blocks
+/// until every stripe is done (wait_idle), so the pool must not be running
+/// other work, and the caller must not be one of its workers.
 void gemm(Trans trans_a, Trans trans_b, double alpha, const ConstMatrixView& a,
           const ConstMatrixView& b, double beta, MatrixView c,
-          ParallelEngine& engine);
+          ThreadPool& pool);
 
 /// Name of the packed-tile microkernel gemm would dispatch to right now:
 /// "avx2" on an x86-64 host with AVX2 (explicit mul+add vectors — never FMA,

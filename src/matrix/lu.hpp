@@ -26,9 +26,9 @@ LuResult lu_factor_unblocked(MatrixView a);
 LuResult lu_factor_blocked(MatrixView a, std::size_t block);
 
 /// Unblocked LU *without* pivoting; requires a matrix whose leading
-/// principal minors are nonsingular (e.g. diagonally dominant). Used by the
-/// distributed runtime, where pivot row swaps would move data across
-/// processor rows and change ownership mid-run. Returns true on success,
+/// principal minors are nonsingular (e.g. diagonally dominant). Used by
+/// run_mp_lu, which factors each diagonal block in place at its owner
+/// (run_mp_lu_pivoted is the pivoting counterpart). Returns true on success,
 /// false if an exact zero pivot was hit (matrix left partially factored).
 bool lu_factor_nopivot(MatrixView a);
 

@@ -233,6 +233,15 @@ struct MpContext {
               std::initializer_list<BlockKey> reads,
               std::initializer_list<BlockKey> writes,
               std::function<void()> op, double weight = 0.0) {
+    add_op_keys(id, name, priority, reads, writes, std::move(op), weight);
+  }
+
+  /// add_op over any key ranges (the row-swap ops touch a data-dependent
+  /// number of blocks).
+  template <class Reads, class Writes>
+  void add_op_keys(std::size_t id, const char* name, int priority,
+                   const Reads& reads, const Writes& writes,
+                   std::function<void()> op, double weight = 0.0) {
     // Every write key gets a fresh version at emission time: any packed
     // panel of the block's previous bytes becomes unreachable in the pack
     // cache the moment its overwriter is queued (see tag()).
@@ -804,6 +813,295 @@ MpReport run_mp_mmm(const Machine& machine, const Distribution2D& dist,
   return ctx.report();
 }
 
+namespace {
+
+// Per-run state of the LU step tail, reused across steps.
+struct LuTail {
+  std::vector<double> l_ready, u_ready;
+  std::vector<std::vector<BlockKey>> row_keys, col_keys;
+  // Lookahead: virtual time deferred from the previous step's non-critical
+  // trailing work (the arithmetic itself always runs in canonical order).
+  std::vector<double> deferred, deferred_ready, deferred_units;
+
+  LuTail(std::size_t procs, std::size_t p, std::size_t q)
+      : l_ready(procs), u_ready(procs), row_keys(p), col_keys(q),
+        deferred(procs, 0.0), deferred_ready(procs, 0.0),
+        deferred_units(procs, 0.0) {}
+};
+
+// Everything of LU step k after the panel: the L panel along grid rows, the
+// U12 solves, the U panel down grid columns, the trailing update, and the
+// drop of the step's transient copies. Both LU entry points share it; only
+// their panel phases differ. On entry the factored block column k sits at
+// every ring source pid(gi, diag.col), available there from
+// max(clock, src_ready) on.
+void lu_step_tail(MpContext& ctx, std::size_t k, std::size_t nb,
+                  std::size_t n, const KernelCosts& costs, bool lookahead,
+                  const std::vector<double>& src_ready, LuTail& s) {
+  const std::size_t block = ctx.block;
+  const std::size_t procs = ctx.p * ctx.q;
+  const std::size_t klen = block_len(k, block, n);
+  const ProcCoord diag = ctx.owner(k, k);
+  const BlockKey diag_key{kTagA * nb + k, k};
+
+  // --- Horizontal broadcast of the L panel (diag + L21) per grid row.
+  std::fill(s.l_ready.begin(), s.l_ready.end(), 0.0);
+  for (auto& v : s.row_keys) v.clear();
+  for (std::size_t bi = k; bi < nb; ++bi)
+    s.row_keys[ctx.owner(bi, k).row].push_back(BlockKey{kTagA * nb + bi, k});
+  for (std::size_t gi = 0; gi < ctx.p; ++gi) {
+    const std::size_t src = ctx.pid(gi, diag.col);
+    ctx.ring_broadcast_row(gi, diag.col, s.row_keys[gi],
+                           std::max(src_ready[src], ctx.clock[src]),
+                           s.l_ready);
+  }
+
+  // --- U12 solves: owners of (k, J), J > k need L11 (came with the L
+  // panel broadcast along their row).
+  for (std::size_t bj = k + 1; bj < nb; ++bj) {
+    const std::size_t id = ctx.owner_pid(k, bj);
+    const std::size_t jlen = block_len(bj, block, n);
+    const BlockKey u_key{kTagA * nb + k, bj};
+    const ConstMatrixView dv = ctx.store[id].at(diag_key);
+    const MatrixView uv = ctx.store[id].at(u_key);
+    const double op_units = costs.trsm * vol_frac(klen, jlen, klen, block);
+    ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {u_key},
+               [dv, uv] { trsm_left_lower_unit(dv, uv); },
+               ctx.cycle_time(id) * op_units);
+    ctx.compute(id, s.l_ready[id], ctx.cycle_time(id) * op_units, "u-solve",
+                ObsOp::kSolve, op_units);
+  }
+
+  // --- Vertical broadcast of the U panel per grid column.
+  std::fill(s.u_ready.begin(), s.u_ready.end(), 0.0);
+  for (auto& v : s.col_keys) v.clear();
+  for (std::size_t bj = k + 1; bj < nb; ++bj)
+    s.col_keys[ctx.owner(k, bj).col].push_back(BlockKey{kTagA * nb + k, bj});
+  for (std::size_t gj = 0; gj < ctx.q; ++gj)
+    ctx.ring_broadcast_col(gj, diag.row, s.col_keys[gj],
+                           ctx.clock[ctx.pid(diag.row, gj)], s.u_ready);
+
+  // --- Settle the previous step's deferred (non-critical) work before
+  // this step's trailing phase: the panel and solves above already went
+  // out ahead of it — that is the lookahead.
+  for (std::size_t id = 0; id < procs; ++id) {
+    if (s.deferred[id] > 0.0) {
+      ctx.compute(id, s.deferred_ready[id], s.deferred[id], "update-deferred",
+                  ObsOp::kUpdate, s.deferred_units[id]);
+      s.deferred[id] = 0.0;
+      s.deferred_ready[id] = 0.0;
+      s.deferred_units[id] = 0.0;
+    }
+  }
+
+  // --- Trailing updates A_IJ -= L_Ik * U_kJ on owned blocks. With
+  // lookahead, the blocks the next panel needs (block column/row k+1)
+  // are charged on the critical path now; the rest is deferred to after
+  // the next step's panel phase. The deferral is pure virtual-time
+  // bookkeeping — the GEMM tasks are emitted in this step, in canonical
+  // order per processor.
+  for (std::size_t id = 0; id < procs; ++id) {
+    double work_next = 0.0, work_rest = 0.0;
+    double units_next = 0.0, units_rest = 0.0;
+    const double ready = std::max(s.l_ready[id], s.u_ready[id]);
+    for (std::size_t bi = k + 1; bi < nb; ++bi) {
+      for (std::size_t bj = k + 1; bj < nb; ++bj) {
+        if (ctx.owner_pid(bi, bj) != id) continue;
+        const std::size_t ilen = block_len(bi, block, n);
+        const std::size_t jlen = block_len(bj, block, n);
+        const BlockKey l_key{kTagA * nb + bi, k};
+        const BlockKey u_key{kTagA * nb + k, bj};
+        const BlockKey t_key{kTagA * nb + bi, bj};
+        const ConstMatrixView lv = ctx.store[id].at(l_key);
+        const ConstMatrixView uv = ctx.store[id].at(u_key);
+        const MatrixView tv = ctx.store[id].at(t_key);
+        // The L block is reused across this block row's updates, the U
+        // block across the block column's: pack each once per step.
+        PackedPanelCache* const cache = &ctx.store[id].pack_cache();
+        const PackTag lt = ctx.tag(id, l_key);
+        const PackTag ut = ctx.tag(id, u_key);
+        // Next-panel blocks (column / row k + 1) run at panel priority
+        // so the graph releases step k + 1's critical chain first — the
+        // wall-clock counterpart of the virtual-time lookahead below.
+        const int prio = (bi == k + 1 || bj == k + 1) ? kPrioPanel
+                                                      : kPrioUpdate;
+        const double op_units =
+            costs.update * vol_frac(ilen, jlen, klen, block);
+        ctx.add_op(id, "mp.gemm", prio, {l_key, u_key}, {t_key},
+                   [lv, lt, uv, ut, tv, cache] {
+                     gemm_cached(Trans::No, Trans::No, -1.0, lv, lt, uv, ut,
+                                 1.0, tv, cache);
+                   },
+                   ctx.cycle_time(id) * op_units);
+        const double cost = ctx.cycle_time(id) * op_units;
+        if (lookahead && bi != k + 1 && bj != k + 1) {
+          work_rest += cost;
+          units_rest += op_units;
+        } else {
+          work_next += cost;
+          units_next += op_units;
+        }
+      }
+    }
+    if (work_next > 0.0)
+      ctx.compute(id, ready, work_next, "update", ObsOp::kUpdate, units_next);
+    if (work_rest > 0.0) {
+      s.deferred[id] += work_rest;
+      s.deferred_units[id] += units_rest;
+      s.deferred_ready[id] = std::max(s.deferred_ready[id], ready);
+    }
+  }
+
+  // --- Drop transient copies of this step's panels.
+  for (std::size_t id = 0; id < procs; ++id) {
+    for (std::size_t bi = k; bi < nb; ++bi)
+      if (ctx.owner_pid(bi, k) != id)
+        ctx.erase_block(id, BlockKey{kTagA * nb + bi, k});
+    for (std::size_t bj = k + 1; bj < nb; ++bj)
+      if (ctx.owner_pid(k, bj) != id)
+        ctx.erase_block(id, BlockKey{kTagA * nb + k, bj});
+  }
+}
+
+// Pivoted-LU row-swap bundles: one per (step, sender, receiver), keyed
+// {kTagS * nb + k, src * procs + dst} so a deferred erase of step k's
+// bundles never meets step k + 1's.
+constexpr std::size_t kTagS = 7;
+
+// Applies step k's row interchanges (`piv`, global rows, as recorded in
+// the report) to every block column except the panel's, which the panel
+// factorization already swapped. The swaps compose into one permutation of
+// the touched rows, so each row segment moves once: the processor holding
+// its source block packs it into a bundle for the processor holding its
+// destination block (one bundle per pair, local moves included), every
+// bundle between two processors travels as one ordinary message
+// (copy_block, timed by the network no earlier than `piv_ready`, when the
+// pivots are known), and each receiver unpacks its bundles in one op.
+// Packing before any unpack makes the permutation safe in place.
+// Receivers' clocks wait for their bundles. Returns the bundles to erase
+// once the step is done.
+std::vector<std::pair<std::size_t, BlockKey>> swap_pivot_rows(
+    MpContext& ctx, std::size_t k, std::size_t nb, std::size_t n,
+    const std::vector<std::size_t>& piv, double piv_ready) {
+  const std::size_t block = ctx.block;
+  const std::size_t procs = ctx.p * ctx.q;
+  const std::size_t klo = block_lo(k, block);
+
+  // Net effect of the interchanges: row `dst` receives the original `src`.
+  std::map<std::size_t, std::size_t> content;
+  for (std::size_t g1 = klo; g1 < klo + block_len(k, block, n); ++g1) {
+    const std::size_t g2 = piv[g1];
+    if (g1 == g2) continue;
+    const std::size_t c1 = content.emplace(g1, g1).first->second;
+    const std::size_t c2 = content.emplace(g2, g2).first->second;
+    content[g1] = c2;
+    content[g2] = c1;
+  }
+
+  struct Segment {
+    std::size_t bj, dst_row, src_row;
+  };
+  // Segments grouped by (sender, receiver), sender-major so one sender's
+  // packs fuse into one task.
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<Segment>> groups;
+  for (std::size_t bj = 0; bj < nb; ++bj) {
+    if (bj == k) continue;
+    for (const auto& [dst_row, src_row] : content) {
+      if (dst_row == src_row) continue;
+      groups[{ctx.location(kTagA, src_row / block, bj),
+              ctx.location(kTagA, dst_row / block, bj)}]
+          .push_back(Segment{bj, dst_row, src_row});
+    }
+  }
+  auto key_at = [&](std::size_t row, std::size_t bj) {
+    return BlockKey{kTagA * nb + row / block, bj};
+  };
+  auto bundle_key = [&](std::size_t src, std::size_t dst) {
+    return BlockKey{kTagS * nb + k, src * procs + dst};
+  };
+  // (view, row) of every segment's block at `id`, and the keys touched.
+  auto rows_at = [&](std::size_t id, const std::vector<Segment>& segs,
+                     bool dst_side, std::vector<BlockKey>& keys) {
+    std::vector<std::pair<MatrixView, std::size_t>> rows;
+    for (const Segment& sg : segs) {
+      const std::size_t row = dst_side ? sg.dst_row : sg.src_row;
+      keys.push_back(key_at(row, sg.bj));
+      rows.emplace_back(ctx.store[id].at(keys.back()), row % block);
+    }
+    return rows;
+  };
+
+  // --- Pack at the senders.
+  std::vector<std::pair<std::size_t, BlockKey>> bundles;
+  for (const auto& [pair, segs] : groups) {
+    const auto [src, dst] = pair;
+    std::vector<BlockKey> reads;
+    auto rows = rows_at(src, segs, false, reads);
+    std::size_t total = 0;
+    for (const auto& [blk, r] : rows) total += blk.cols();
+    const BlockKey bkey = bundle_key(src, dst);
+    ctx.store[src].put(bkey, ctx.store[src].acquire(total, 1));
+    const MatrixView buf = ctx.store[src].at(bkey);
+    bundles.emplace_back(src, bkey);
+    ctx.add_op_keys(src, "mp.swap", kPrioComm, reads,
+                    std::initializer_list<BlockKey>{bkey},
+                    [rows = std::move(rows), buf] {
+                      std::size_t off = 0;
+                      for (const auto& [blk, r] : rows)
+                        for (std::size_t j = 0; j < blk.cols(); ++j)
+                          buf(off++, 0) = blk(r, j);
+                    });
+  }
+
+  // --- Send the bundles that cross processors.
+  std::vector<double> arrive(procs, 0.0);
+  for (const auto& [pair, segs] : groups) {
+    const auto [src, dst] = pair;
+    if (src == dst) continue;
+    const BlockKey bkey = bundle_key(src, dst);
+    const std::size_t elems = ctx.store[src].at(bkey).rows();
+    const std::size_t blocks = (elems + block * block - 1) / (block * block);
+    const double arrival = ctx.net.transfer(
+        src, dst, blocks, std::max(ctx.clock[src], piv_ready));
+    ctx.copy_block(src, dst, bkey);
+    bundles.emplace_back(dst, bkey);
+    arrive[dst] = std::max(arrive[dst], arrival);
+  }
+
+  // --- Unpack at the receivers, one op each.
+  for (std::size_t dst = 0; dst < procs; ++dst) {
+    std::vector<BlockKey> reads, writes;
+    std::vector<std::pair<MatrixView, std::size_t>> rows;
+    for (const auto& [pair, segs] : groups) {
+      if (pair.second != dst) continue;
+      reads.push_back(bundle_key(pair.first, dst));
+      auto seg_rows = rows_at(dst, segs, true, writes);
+      rows.insert(rows.end(), seg_rows.begin(), seg_rows.end());
+    }
+    if (rows.empty()) continue;
+    std::vector<ConstMatrixView> bufs;
+    for (const BlockKey& key : reads) bufs.push_back(ctx.store[dst].at(key));
+    ctx.add_op_keys(dst, "mp.swap", kPrioSolve, reads, writes,
+                    [rows = std::move(rows), bufs = std::move(bufs)] {
+                      // Bundles hold the rows in the order `rows` lists them.
+                      std::size_t b = 0, off = 0;
+                      for (const auto& [blk, r] : rows) {
+                        if (off == bufs[b].rows()) {
+                          ++b;
+                          off = 0;
+                        }
+                        for (std::size_t j = 0; j < blk.cols(); ++j)
+                          blk(r, j) = bufs[b](off++, 0);
+                      }
+                    });
+  }
+  for (std::size_t id = 0; id < procs; ++id)
+    ctx.clock[id] = std::max(ctx.clock[id], arrive[id]);
+  return bundles;
+}
+
+}  // namespace
+
 MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                    MatrixView a, std::size_t block,
                    const KernelCosts& costs, bool lookahead,
@@ -825,13 +1123,10 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
   scatter(ctx, a, kTagA, nb, nb);
   MpReport early;
 
-  std::vector<double> diag_ready(procs), l_ready(procs), u_ready(procs);
-  std::vector<std::vector<BlockKey>> row_keys(ctx.p), col_keys(ctx.q);
-  // Lookahead: virtual time deferred from the previous step's non-critical
-  // trailing work (the arithmetic itself always runs in canonical order).
-  std::vector<double> deferred(procs, 0.0);
-  std::vector<double> deferred_ready(procs, 0.0);
-  std::vector<double> deferred_units(procs, 0.0);
+  std::vector<double> diag_ready(procs);
+  // The L21 owners are the ring sources and already hold their blocks.
+  const std::vector<double> no_wait(procs, 0.0);
+  LuTail tail(procs, ctx.p, ctx.q);
 
   for (std::size_t k = 0; k < nb; ++k) {
     ctx.set_step(k);
@@ -891,128 +1186,109 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                   "l-solve", ObsOp::kSolve, op_units);
     }
 
-    // --- Horizontal broadcast of the L panel (diag + L21) per grid row.
-    std::fill(l_ready.begin(), l_ready.end(), 0.0);
-    for (auto& v : row_keys) v.clear();
-    for (std::size_t bi = k; bi < nb; ++bi)
-      row_keys[ctx.owner(bi, k).row].push_back(
-          BlockKey{kTagA * nb + bi, k});
-    for (std::size_t gi = 0; gi < ctx.p; ++gi)
-      ctx.ring_broadcast_row(gi, diag.col, row_keys[gi],
-                             ctx.clock[ctx.pid(gi, diag.col)], l_ready);
-
-    // --- U12 solves: owners of (k, J), J > k need L11 (came with the L
-    // panel broadcast along their row).
-    for (std::size_t bj = k + 1; bj < nb; ++bj) {
-      const std::size_t id = ctx.owner_pid(k, bj);
-      const std::size_t jlen = block_len(bj, block, n);
-      const BlockKey u_key{kTagA * nb + k, bj};
-      const ConstMatrixView dv = ctx.store[id].at(diag_key);
-      const MatrixView uv = ctx.store[id].at(u_key);
-      const double op_units = costs.trsm * vol_frac(klen, jlen, klen, block);
-      ctx.add_op(id, "mp.trsm", kPrioSolve, {diag_key}, {u_key},
-                 [dv, uv] { trsm_left_lower_unit(dv, uv); },
-                 ctx.cycle_time(id) * op_units);
-      ctx.compute(id, l_ready[id], ctx.cycle_time(id) * op_units, "u-solve",
-                  ObsOp::kSolve, op_units);
-    }
-
-    // --- Vertical broadcast of the U panel per grid column.
-    std::fill(u_ready.begin(), u_ready.end(), 0.0);
-    for (auto& v : col_keys) v.clear();
-    for (std::size_t bj = k + 1; bj < nb; ++bj)
-      col_keys[ctx.owner(k, bj).col].push_back(
-          BlockKey{kTagA * nb + k, bj});
-    for (std::size_t gj = 0; gj < ctx.q; ++gj)
-      ctx.ring_broadcast_col(gj, diag.row, col_keys[gj],
-                             ctx.clock[ctx.pid(diag.row, gj)], u_ready);
-
-    // --- Settle the previous step's deferred (non-critical) work before
-    // this step's trailing phase: the panel and solves above already went
-    // out ahead of it — that is the lookahead.
-    for (std::size_t id = 0; id < procs; ++id) {
-      if (deferred[id] > 0.0) {
-        ctx.compute(id, deferred_ready[id], deferred[id], "update-deferred",
-                    ObsOp::kUpdate, deferred_units[id]);
-        deferred[id] = 0.0;
-        deferred_ready[id] = 0.0;
-        deferred_units[id] = 0.0;
-      }
-    }
-
-    // --- Trailing updates A_IJ -= L_Ik * U_kJ on owned blocks. With
-    // lookahead, the blocks the next panel needs (block column/row k+1)
-    // are charged on the critical path now; the rest is deferred to after
-    // the next step's panel phase. The deferral is pure virtual-time
-    // bookkeeping — the GEMM tasks are emitted in this step, in canonical
-    // order per processor.
-    for (std::size_t id = 0; id < procs; ++id) {
-      double work_next = 0.0, work_rest = 0.0;
-      double units_next = 0.0, units_rest = 0.0;
-      const double ready = std::max(l_ready[id], u_ready[id]);
-      for (std::size_t bi = k + 1; bi < nb; ++bi) {
-        for (std::size_t bj = k + 1; bj < nb; ++bj) {
-          if (ctx.owner_pid(bi, bj) != id) continue;
-          const std::size_t ilen = block_len(bi, block, n);
-          const std::size_t jlen = block_len(bj, block, n);
-          const BlockKey l_key{kTagA * nb + bi, k};
-          const BlockKey u_key{kTagA * nb + k, bj};
-          const BlockKey t_key{kTagA * nb + bi, bj};
-          const ConstMatrixView lv = ctx.store[id].at(l_key);
-          const ConstMatrixView uv = ctx.store[id].at(u_key);
-          const MatrixView tv = ctx.store[id].at(t_key);
-          // The L block is reused across this block row's updates, the U
-          // block across the block column's: pack each once per step.
-          PackedPanelCache* const cache = &ctx.store[id].pack_cache();
-          const PackTag lt = ctx.tag(id, l_key);
-          const PackTag ut = ctx.tag(id, u_key);
-          // Next-panel blocks (column / row k + 1) run at panel priority
-          // so the graph releases step k + 1's critical chain first — the
-          // wall-clock counterpart of the virtual-time lookahead below.
-          const int prio = (bi == k + 1 || bj == k + 1) ? kPrioPanel
-                                                        : kPrioUpdate;
-          const double op_units =
-              costs.update * vol_frac(ilen, jlen, klen, block);
-          ctx.add_op(id, "mp.gemm", prio, {l_key, u_key}, {t_key},
-                     [lv, lt, uv, ut, tv, cache] {
-                       gemm_cached(Trans::No, Trans::No, -1.0, lv, lt, uv,
-                                   ut, 1.0, tv, cache);
-                     },
-                     ctx.cycle_time(id) * op_units);
-          const double cost = ctx.cycle_time(id) * op_units;
-          if (lookahead && bi != k + 1 && bj != k + 1) {
-            work_rest += cost;
-            units_rest += op_units;
-          } else {
-            work_next += cost;
-            units_next += op_units;
-          }
-        }
-      }
-      if (work_next > 0.0)
-        ctx.compute(id, ready, work_next, "update", ObsOp::kUpdate,
-                    units_next);
-      if (work_rest > 0.0) {
-        deferred[id] += work_rest;
-        deferred_units[id] += units_rest;
-        deferred_ready[id] = std::max(deferred_ready[id], ready);
-      }
-    }
-
-    // --- Drop transient copies of this step's panels.
-    for (std::size_t id = 0; id < procs; ++id) {
-      for (std::size_t bi = k; bi < nb; ++bi)
-        if (ctx.owner_pid(bi, k) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nb + bi, k});
-      for (std::size_t bj = k + 1; bj < nb; ++bj)
-        if (ctx.owner_pid(k, bj) != id)
-          ctx.erase_block(id, BlockKey{kTagA * nb + k, bj});
-    }
+    lu_step_tail(ctx, k, nb, n, costs, lookahead, no_wait, tail);
   }
 
   ctx.finish();
   gather(ctx, a, kTagA, nb, nb);
   return ctx.report();
+}
+
+MpPivotedLuReport run_mp_lu_pivoted(const Machine& machine,
+                                    const Distribution2D& dist, MatrixView a,
+                                    std::size_t block,
+                                    const KernelCosts& costs,
+                                    TraceSink* sink,
+                                    const RuntimeOptions& opts) {
+  ProfScope prof_span("mp.lu_pivoted");
+  const std::size_t n = a.rows();
+  HG_CHECK(a.cols() == n, "run_mp_lu_pivoted needs a square matrix");
+  HG_CHECK(neighbor_census(dist).aligned,
+           "run_mp_lu_pivoted requires an aligned (grid-pattern) "
+           "distribution");
+  MpContext ctx(machine, dist, block, sink, opts);
+  const std::size_t nb = block_count(n, block);
+  const std::size_t procs = ctx.p * ctx.q;
+
+  ctx.init_rebalance(nb, nb, 1);
+  scatter(ctx, a, kTagA, nb, nb);
+  MpPivotedLuReport rep;
+  rep.piv.resize(n);
+
+  std::vector<double> col_ready(procs);
+  LuTail tail(procs, ctx.p, ctx.q);
+
+  for (std::size_t k = 0; k < nb; ++k) {
+    ctx.set_step(k);
+    ctx.maybe_rebalance(
+        k,
+        RebalanceRegion{k, nb, k, nb, false,
+                        static_cast<double>(nb - k) / 3.0, 0.0, 1.0},
+        {{kTagA, k, nb, k, nb, false}});
+    const std::size_t klo = block_lo(k, block);
+    const std::size_t klen = block_len(k, block, n);
+    const ProcCoord diag = ctx.owner(k, k);
+    const std::size_t diag_id = ctx.pid(diag.row, diag.col);
+
+    // --- Gather block column k to the diagonal owner: the pivot search
+    // needs the whole column (one feeder hop per off-owner block).
+    double gather_ready = ctx.clock[diag_id];
+    std::vector<BlockKey> panel_keys;
+    for (std::size_t bi = k; bi < nb; ++bi) {
+      const std::size_t from = ctx.owner_pid(bi, k);
+      const BlockKey key{kTagA * nb + bi, k};
+      gather_ready = std::max(
+          gather_ready, ctx.feeder(from, diag_id, key, ctx.clock[from]));
+      panel_keys.push_back(key);
+    }
+
+    // --- Factor the assembled panel on the host (serial, so the factors
+    // and pivots are bit-identical for any thread count) and write the
+    // blocks back into the diagonal owner's copies.
+    ctx.host_sync(diag_id, panel_keys);
+    Matrix panel(n - klo, klen, BufferPool::global().take((n - klo) * klen));
+    for (std::size_t bi = k; bi < nb; ++bi)
+      panel.view()
+          .block(block_lo(bi, block) - klo, 0, block_len(bi, block, n), klen)
+          .copy_from(ctx.store[diag_id].at(panel_keys[bi - k]));
+    const LuResult pres = lu_factor_unblocked(panel.view());
+    rep.singular = rep.singular || pres.singular;
+    double panel_work = 0.0, panel_units = 0.0;
+    for (std::size_t bi = k; bi < nb; ++bi) {
+      const std::size_t ilen = block_len(bi, block, n);
+      ctx.store[diag_id].bump_version(panel_keys[bi - k]);
+      ctx.store[diag_id].at(panel_keys[bi - k])
+          .copy_from(
+              panel.view().block(block_lo(bi, block) - klo, 0, ilen, klen));
+      const double units =
+          costs.panel_factor * vol_frac(ilen, klen, klen, block);
+      panel_units += units;
+      panel_work += ctx.cycle_time(diag_id) * units;
+    }
+    BufferPool::global().give(panel.release_storage());
+    ctx.compute(diag_id, gather_ready, panel_work, "panel", ObsOp::kPanel,
+                panel_units);
+    ctx.note_host_work(diag_id, panel_keys, panel_work, "panel");
+
+    // --- The factored blocks ring back down the owner grid column, which
+    // restores the owners' blocks and seeds every L-panel ring source.
+    std::fill(col_ready.begin(), col_ready.end(), 0.0);
+    ctx.ring_broadcast_col(diag.col, diag.row, panel_keys,
+                           ctx.clock[diag_id], col_ready);
+
+    // --- Row interchanges outside the panel, then the shared tail.
+    for (std::size_t i = 0; i < klen; ++i)
+      rep.piv[klo + i] = klo + pres.piv[i];
+    const std::vector<std::pair<std::size_t, BlockKey>> bundles =
+        swap_pivot_rows(ctx, k, nb, n, rep.piv, ctx.clock[diag_id]);
+    lu_step_tail(ctx, k, nb, n, costs, false, col_ready, tail);
+    for (const auto& [id, key] : bundles) ctx.erase_block(id, key);
+  }
+
+  ctx.finish();
+  gather(ctx, a, kTagA, nb, nb);
+  static_cast<MpReport&>(rep) = ctx.report();
+  return rep;
 }
 
 MpReport run_mp_cholesky(const Machine& machine, const Distribution2D& dist,

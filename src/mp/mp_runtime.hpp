@@ -1,8 +1,9 @@
 // Asynchronous message-passing runtime: distributed-memory execution of
 // the paper's kernels with per-processor storage and explicit messages.
 //
-// This is the highest-fidelity model in hetgrid. Compared to the
-// bulk-synchronous virtual runtime (src/runtime):
+// This is hetgrid's one execution runtime: every distributed kernel that
+// runs real numerics runs here. Compared to the bulk-synchronous simulator
+// (src/sim), which charges costs without touching data:
 //   * every processor has its own BlockStore — data moves only through
 //     VirtualNetwork::transfer, and reading a block that was never sent
 //     throws (catching missing-communication bugs in kernel ports);
@@ -35,7 +36,7 @@ struct MpReport {
   std::vector<double> busy;     // per-processor pure compute time
   std::size_t messages = 0;     // point-to-point messages sent
   double blocks_moved = 0.0;    // total r x r blocks transferred
-  bool factorized = true;       // LU: false if a zero pivot was hit
+  bool factorized = true;       // unpivoted LU / Cholesky: false on a bad pivot
   // Online rebalancer activity (doc/rebalance.md); both stay 0 with
   // RuntimeOptions::Rebalance::kOff.
   std::size_t rebalances = 0;        // panel boundaries that acted
@@ -46,6 +47,11 @@ struct MpReport {
 
 struct MpQrReport : MpReport {
   std::vector<double> tau;  // reflector scales, panel-major like qr_factor
+};
+
+struct MpPivotedLuReport : MpReport {
+  std::vector<std::size_t> piv;  // LAPACK-style ipiv (0-based), like LuResult
+  bool singular = false;         // an exact zero pivot was hit
 };
 
 /// Distributed-memory C = A * B (outer-product algorithm) with square
@@ -85,6 +91,27 @@ MpReport run_mp_lu(const Machine& machine, const Distribution2D& dist,
                    const KernelCosts& costs = {}, bool lookahead = false,
                    TraceSink* sink = nullptr,
                    const RuntimeOptions& opts = {});
+
+/// Distributed-memory right-looking LU *with partial pivoting* (ScaLAPACK
+/// pdgetrf): the same factors and pivots as lu_factor_blocked(a, block), bit
+/// for bit. Per step, the block column is gathered to the diagonal owner and
+/// factored there with lu_factor_unblocked (the pivot search needs the whole
+/// column), the factored blocks ring back down the owner grid column, and
+/// the step's row interchanges travel as ordinary messages: each pair of
+/// processors that exchanges rows sends one bundle of row segments per
+/// step, counted in `messages` and `blocks_moved`. Row ownership is read
+/// from the live owner map, so pivoting composes with
+/// RuntimeOptions::Rebalance::kPanel. The U12 solves, both panel broadcasts
+/// and the trailing update are run_mp_lu's. A singular matrix is factored to
+/// completion and flagged in `singular`, as lu_factor_blocked does; `a`
+/// holds the packed L\U factors on return, and lu_solve(a, piv, b) solves
+/// with them. Requires an aligned distribution.
+MpPivotedLuReport run_mp_lu_pivoted(const Machine& machine,
+                                    const Distribution2D& dist, MatrixView a,
+                                    std::size_t block,
+                                    const KernelCosts& costs = {},
+                                    TraceSink* sink = nullptr,
+                                    const RuntimeOptions& opts = {});
 
 /// Distributed-memory right-looking Cholesky (lower variant) on an SPD
 /// matrix. The L21 panel is ring-broadcast along grid rows, then each

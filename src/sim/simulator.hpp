@@ -101,12 +101,11 @@ struct KernelCosts {
                               // GEMM update, like the LU panel)
 };
 
-/// Execution options shared by the simulator and the numerics-executing
-/// backends (the virtual-time runtime in src/runtime and the
-/// message-passing runtime in src/mp).
+/// Execution options shared by the simulator and the message-passing
+/// runtime (src/mp), the backend that executes real numerics.
 ///
-/// `threads` sizes the MP runtime's task-graph worker pool (and the
-/// virtual runtime's per-step fan-out); 0 means all hardware threads, 1
+/// `threads` sizes the MP runtime's task-graph worker pool (the simulator
+/// ignores it); 0 means all hardware threads, 1
 /// (the default) runs every task inline on the host in submission order.
 /// Virtual clocks, message counters, and trace spans are always computed on
 /// the host thread, and the floating-point results are bit-identical for

@@ -1,8 +1,8 @@
 // A small fixed-size worker pool for CPU-bound fan-out (the parallel exact
-// solver's prefix tasks, the parallel numerics engine, the MP task graph's
-// pump closures). Tasks are plain std::function<void()>; submit() is
-// thread-safe, wait_idle() blocks until every submitted task has finished,
-// and the pool is reusable across wait_idle() rounds.
+// solver's prefix tasks, the threaded gemm overload's column stripes, the
+// MP task graph's pump closures). Tasks are plain std::function<void()>;
+// submit() is thread-safe, wait_idle() blocks until every submitted task
+// has finished, and the pool is reusable across wait_idle() rounds.
 //
 // Scheduling: work stealing over per-worker deques. Each worker owns one
 // deque; a task submitted *from* a pool worker is pushed onto that worker's
@@ -63,9 +63,10 @@ class ThreadPool {
 
   /// Enqueues all tasks and wakes at most min(tasks, parked workers)
   /// workers — the batched form of submit() for fan-out callers (TaskGraph
-  /// releasing several ready tasks at once, ParallelEngine flushing a
-  /// batch). From outside the pool the tasks are spread round-robin, one
-  /// per deque, so a fan-out starts balanced before any stealing happens.
+  /// releasing several ready tasks at once, the threaded gemm overload
+  /// handing out its stripes). From outside the pool the tasks are spread
+  /// round-robin, one per deque, so a fan-out starts balanced before any
+  /// stealing happens.
   void submit_batch(std::vector<std::function<void()>> tasks);
 
   /// Blocks until every deque is empty and no task is executing.

@@ -1,10 +1,12 @@
 // Cross-product consistency suite: every kernel x distribution x grid
 // shape combination runs through the BSP simulator and (where numerics
-// apply) the virtual runtime, checking the universal invariants:
+// apply) the message-passing runtime, checking the universal invariants:
 //   * totals decompose (total = compute + comm),
 //   * the perfect-balance bound is never beaten,
 //   * per-processor busy times stay within the compute critical path,
-//   * simulator and virtual runtime agree on compute accounting,
+//   * simulator and MP runtime agree on every processor's compute time
+//     (MMM, LU, Cholesky — the MP QR gathers its panel to one owner, so
+//     its per-processor charges differ from the simulator's by design),
 //   * executed numerics match the sequential kernels.
 #include <gtest/gtest.h>
 
@@ -20,7 +22,7 @@
 #include "matrix/lu.hpp"
 #include "matrix/norms.hpp"
 #include "matrix/qr.hpp"
-#include "runtime/virtual_runtime.hpp"
+#include "mp/mp_runtime.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -102,6 +104,13 @@ SimReport run_sim(Kernel k, const Machine& m, const Distribution2D& d,
   HG_INTERNAL_CHECK(false, "unreachable");
 }
 
+// Per-processor compute seconds of the MP runtime against the simulator.
+void expect_same_busy(const MpReport& mp, const SimReport& sim) {
+  ASSERT_EQ(mp.busy.size(), sim.busy.size());
+  for (std::size_t i = 0; i < mp.busy.size(); ++i)
+    EXPECT_NEAR(mp.busy[i], sim.busy[i], 1e-9 * sim.busy[i]) << "proc " << i;
+}
+
 class KernelMatrix : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(KernelMatrix, SimulatorInvariantsHold) {
@@ -125,7 +134,7 @@ TEST_P(KernelMatrix, SimulatorInvariantsHold) {
 
 TEST_P(KernelMatrix, RuntimeNumericsAndAccountingAgree) {
   const Combo c = GetParam();
-  // The virtual runtime's LU/QR/Cholesky require aligned distributions;
+  // The MP runtime's LU/QR/Cholesky require aligned distributions;
   // K-L is exercised for MMM only (the paper makes the same restriction
   // argument in Section 3.1.2).
   if (c.dist == DistKind::kKl && c.kernel != Kernel::kMmm) GTEST_SKIP();
@@ -143,13 +152,11 @@ TEST_P(KernelMatrix, RuntimeNumericsAndAccountingAgree) {
       Matrix a(n, n), b(n, n), cc(n, n), ref(n, n, 0.0);
       fill_random(a.view(), rng);
       fill_random(b.view(), rng);
-      const VirtualReport vr = run_distributed_mmm(m, *s.dist, a.view(),
-                                                   b.view(), cc.view(),
-                                                   block);
+      const MpReport vr =
+          run_mp_mmm(m, *s.dist, a.view(), b.view(), cc.view(), block);
       gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, ref.view());
       EXPECT_LT(max_abs_diff(cc.view(), ref.view()), 1e-10 * n);
-      const SimReport sr = simulate_mmm(m, *s.dist, nb);
-      EXPECT_NEAR(vr.compute_time, sr.compute_time, 1e-6 * vr.compute_time);
+      expect_same_busy(vr, simulate_mmm(m, *s.dist, nb));
       break;
     }
     case Kernel::kLu: {
@@ -157,23 +164,20 @@ TEST_P(KernelMatrix, RuntimeNumericsAndAccountingAgree) {
       fill_diagonally_dominant(a.view(), rng);
       Matrix orig(n, n);
       orig.view().copy_from(a.view());
-      const VirtualLuReport vr =
-          run_distributed_lu(m, *s.dist, a.view(), block);
+      const MpReport vr = run_mp_lu(m, *s.dist, a.view(), block);
       ASSERT_TRUE(vr.factorized);
       const Matrix prod = lu_reconstruct(a.view(), n);
       EXPECT_LT(max_abs_diff(prod.view(), orig.view()) /
                     norm_max(orig.view()),
                 1e-10);
-      const SimReport sr = simulate_lu(m, *s.dist, nb);
-      EXPECT_NEAR(vr.compute_time, sr.compute_time, 1e-6 * vr.compute_time);
+      expect_same_busy(vr, simulate_lu(m, *s.dist, nb));
       break;
     }
     case Kernel::kQr: {
       Matrix a(n, n), orig(n, n);
       fill_random(a.view(), rng);
       orig.view().copy_from(a.view());
-      const VirtualQrReport vr =
-          run_distributed_qr(m, *s.dist, a.view(), block);
+      const MpQrReport vr = run_mp_qr(m, *s.dist, a.view(), block);
       const Matrix qmat = qr_form_q(a.view(), vr.tau);
       Matrix r(n, n, 0.0);
       for (std::size_t j = 0; j < n; ++j)
@@ -188,15 +192,13 @@ TEST_P(KernelMatrix, RuntimeNumericsAndAccountingAgree) {
       Matrix a(n, n), orig(n, n);
       fill_spd(a.view(), rng);
       orig.view().copy_from(a.view());
-      const VirtualCholeskyReport vr =
-          run_distributed_cholesky(m, *s.dist, a.view(), block);
+      const MpReport vr = run_mp_cholesky(m, *s.dist, a.view(), block);
       ASSERT_TRUE(vr.factorized);
       const Matrix rec = cholesky_reconstruct(a.view());
       EXPECT_LT(max_abs_diff(rec.view(), orig.view()) /
                     norm_max(orig.view()),
                 1e-10);
-      const SimReport sr = simulate_cholesky(m, *s.dist, nb);
-      EXPECT_NEAR(vr.compute_time, sr.compute_time, 1e-6 * vr.compute_time);
+      expect_same_busy(vr, simulate_cholesky(m, *s.dist, nb));
       break;
     }
   }

@@ -13,7 +13,6 @@
 #include "mp/block_store.hpp"
 #include "mp/mp_runtime.hpp"
 #include "mp/virtual_network.hpp"
-#include "runtime/virtual_runtime.hpp"
 #include "util/rng.hpp"
 
 namespace hetgrid {

@@ -1,5 +1,6 @@
-// Tests for the virtual-time runtime: real numerics under distributed
-// execution, and agreement with the discrete simulator's accounting.
+// Tests for the message-passing runtime's MMM and unpivoted LU: real
+// numerics under distributed execution, and agreement with the discrete
+// simulator's per-processor compute accounting.
 #include <gtest/gtest.h>
 
 #include "core/heuristic.hpp"
@@ -8,7 +9,7 @@
 #include "matrix/gemm.hpp"
 #include "matrix/lu.hpp"
 #include "matrix/norms.hpp"
-#include "runtime/virtual_runtime.hpp"
+#include "mp/mp_runtime.hpp"
 #include "util/rng.hpp"
 
 namespace hetgrid {
@@ -31,8 +32,7 @@ TEST(RuntimeMmm, MatchesSequentialProductExactly) {
   const PanelDistribution d = PanelDistribution::from_counts(
       {3, 1}, {2, 1}, g, PanelOrder::kContiguous, PanelOrder::kContiguous,
       "het");
-  run_distributed_mmm(free_machine(g), d, a.view(), b.view(), c.view(),
-                      block);
+  run_mp_mmm(free_machine(g), d, a.view(), b.view(), c.view(), block);
   gemm_reference(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0,
                  ref.view());
   EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-11);
@@ -46,8 +46,7 @@ TEST(RuntimeMmm, RaggedEdgeBlocksStillCorrect) {
   fill_random(b.view(), rng);
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  run_distributed_mmm(free_machine(g), d, a.view(), b.view(), c.view(),
-                      block);
+  run_mp_mmm(free_machine(g), d, a.view(), b.view(), c.view(), block);
   gemm_reference(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0,
                  ref.view());
   EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-11);
@@ -61,16 +60,16 @@ TEST(RuntimeMmm, CorrectUnderKalinovLastovetsky) {
   fill_random(b.view(), rng);
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const KalinovLastovetskyDistribution kl(g, {4, 7}, 61);
-  run_distributed_mmm(free_machine(g), kl, a.view(), b.view(), c.view(),
-                      block);
+  run_mp_mmm(free_machine(g), kl, a.view(), b.view(), c.view(), block);
   gemm_reference(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0,
                  ref.view());
   EXPECT_LT(max_abs_diff(c.view(), ref.view()), 1e-11);
 }
 
-TEST(RuntimeMmm, VirtualComputeMatchesSimulator) {
-  // With n divisible by block and a free network, the virtual runtime's
-  // clocks must agree with the discrete simulator to rounding error.
+TEST(RuntimeMmm, BusyMatchesSimulator) {
+  // With n divisible by block and a free network, every processor's
+  // compute time in the MP runtime must agree with the discrete
+  // simulator's to rounding error.
   const std::size_t n = 24, block = 4, nb = n / block;
   Rng rng(84);
   Matrix a(n, n), b(n, n), c(n, n);
@@ -80,10 +79,8 @@ TEST(RuntimeMmm, VirtualComputeMatchesSimulator) {
   const CycleTimeGrid g(2, 3, {1, 2, 3, 2, 4, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 3);
   const Machine m = free_machine(g);
-  const VirtualReport vr =
-      run_distributed_mmm(m, d, a.view(), b.view(), c.view(), block);
+  const MpReport vr = run_mp_mmm(m, d, a.view(), b.view(), c.view(), block);
   const SimReport sr = simulate_mmm(m, d, nb);
-  EXPECT_NEAR(vr.compute_time, sr.compute_time, 1e-9);
   ASSERT_EQ(vr.busy.size(), sr.busy.size());
   for (std::size_t i = 0; i < vr.busy.size(); ++i)
     EXPECT_NEAR(vr.busy[i], sr.busy[i], 1e-9) << "proc " << i;
@@ -95,22 +92,26 @@ TEST(RuntimeMmm, CommChargedWithNonFreeNetwork) {
   Matrix a(n, n), b(n, n), c(n, n);
   fill_random(a.view(), rng);
   fill_random(b.view(), rng);
-  Machine m = free_machine(CycleTimeGrid(2, 2, {1, 1, 1, 1}));
+  const Machine free = free_machine(CycleTimeGrid(2, 2, {1, 1, 1, 1}));
+  Machine m = free;
   m.net = {Topology::kSwitched, 1e-3, 1e-3, true};
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const VirtualReport rep =
-      run_distributed_mmm(m, d, a.view(), b.view(), c.view(), block);
-  EXPECT_GT(rep.comm_time, 0.0);
-  EXPECT_NEAR(rep.makespan, rep.compute_time + rep.comm_time, 1e-12);
+  const MpReport rep = run_mp_mmm(m, d, a.view(), b.view(), c.view(), block);
+  const MpReport base =
+      run_mp_mmm(free, d, a.view(), b.view(), c.view(), block);
+  // Same compute, same messages; only the transfers cost time.
+  EXPECT_EQ(rep.busy, base.busy);
+  EXPECT_EQ(rep.messages, base.messages);
+  EXPECT_GT(rep.messages, 0u);
+  EXPECT_GT(rep.makespan, base.makespan);
 }
 
 TEST(RuntimeMmm, RejectsNonSquareInput) {
   Matrix a(4, 5), b(5, 4), c(4, 4);
   const Machine m = free_machine(CycleTimeGrid(1, 1, {1.0}));
   const PanelDistribution d = PanelDistribution::block_cyclic(1, 1);
-  EXPECT_THROW(
-      run_distributed_mmm(m, d, a.view(), b.view(), c.view(), 2),
-      PreconditionError);
+  EXPECT_THROW(run_mp_mmm(m, d, a.view(), b.view(), c.view(), 2),
+               PreconditionError);
 }
 
 // ----------------------------------------------------- LU numerics
@@ -127,8 +128,7 @@ TEST(RuntimeLu, ReconstructsDiagonallyDominantMatrix) {
   const PanelDistribution d = PanelDistribution::from_counts(
       {3, 1}, {2, 1}, g, PanelOrder::kContiguous, PanelOrder::kInterleaved,
       "het");
-  const VirtualLuReport rep =
-      run_distributed_lu(free_machine(g), d, a.view(), block);
+  const MpReport rep = run_mp_lu(free_machine(g), d, a.view(), block);
   EXPECT_TRUE(rep.factorized);
 
   const Matrix prod = lu_reconstruct(a.view(), n);
@@ -148,13 +148,12 @@ TEST(RuntimeLu, MatchesSequentialNoPivotFactors) {
   ASSERT_TRUE(lu_factor_nopivot(seq.view()));
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const VirtualLuReport rep =
-      run_distributed_lu(free_machine(g), d, par.view(), block);
+  const MpReport rep = run_mp_lu(free_machine(g), d, par.view(), block);
   EXPECT_TRUE(rep.factorized);
   EXPECT_LT(max_abs_diff(seq.view(), par.view()), 1e-10);
 }
 
-TEST(RuntimeLu, VirtualComputeMatchesSimulator) {
+TEST(RuntimeLu, BusyMatchesSimulator) {
   const std::size_t n = 24, block = 4, nb = n / block;
   Rng rng(93);
   Matrix a(n, n);
@@ -162,9 +161,9 @@ TEST(RuntimeLu, VirtualComputeMatchesSimulator) {
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
   const Machine m = free_machine(g);
-  const VirtualLuReport vr = run_distributed_lu(m, d, a.view(), block);
+  const MpReport vr = run_mp_lu(m, d, a.view(), block);
   const SimReport sr = simulate_lu(m, d, nb);
-  EXPECT_NEAR(vr.compute_time, sr.compute_time, 1e-9);
+  ASSERT_EQ(vr.busy.size(), sr.busy.size());
   for (std::size_t i = 0; i < vr.busy.size(); ++i)
     EXPECT_NEAR(vr.busy[i], sr.busy[i], 1e-9) << "proc " << i;
 }
@@ -173,7 +172,7 @@ TEST(RuntimeLu, ReportsZeroPivot) {
   Matrix a(4, 4, 0.0);  // singular
   const Machine m = free_machine(CycleTimeGrid(1, 1, {1.0}));
   const PanelDistribution d = PanelDistribution::block_cyclic(1, 1);
-  const VirtualLuReport rep = run_distributed_lu(m, d, a.view(), 2);
+  const MpReport rep = run_mp_lu(m, d, a.view(), 2);
   EXPECT_FALSE(rep.factorized);
 }
 
@@ -186,8 +185,7 @@ TEST(RuntimeLu, RaggedBlocksStillCorrect) {
   a.view().copy_from(orig.view());
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  ASSERT_TRUE(run_distributed_lu(free_machine(g), d, a.view(), block)
-                  .factorized);
+  ASSERT_TRUE(run_mp_lu(free_machine(g), d, a.view(), block).factorized);
   const Matrix prod = lu_reconstruct(a.view(), n);
   EXPECT_LT(max_abs_diff(prod.view(), orig.view()) / norm_max(orig.view()),
             1e-11);
@@ -201,11 +199,11 @@ TEST(Runtime, UtilizationIsAFraction) {
   fill_random(b.view(), rng);
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const VirtualReport rep = run_distributed_mmm(
-      free_machine(g), d, a.view(), b.view(), c.view(), block);
+  const MpReport rep =
+      run_mp_mmm(free_machine(g), d, a.view(), b.view(), c.view(), block);
   EXPECT_GT(rep.average_utilization(), 0.0);
   EXPECT_LE(rep.average_utilization(), 1.0 + 1e-12);
-  EXPECT_GT(rep.block_ops, 0u);
+  EXPECT_GT(rep.messages, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
-// Tests for the distributed QR and Cholesky virtual-runtime kernels.
+// Tests for the message-passing runtime's QR, Cholesky and pivoted LU.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "core/heuristic.hpp"
 #include "dist/panel_distribution.hpp"
@@ -8,7 +13,7 @@
 #include "matrix/lu.hpp"
 #include "matrix/norms.hpp"
 #include "matrix/qr.hpp"
-#include "runtime/virtual_runtime.hpp"
+#include "mp/mp_runtime.hpp"
 #include "util/rng.hpp"
 
 namespace hetgrid {
@@ -16,6 +21,35 @@ namespace {
 
 Machine free_machine(CycleTimeGrid grid) {
   return Machine{std::move(grid), NetworkModel::free()};
+}
+
+// Compute seconds summed over all processors.
+double total_busy(const MpReport& rep) {
+  double t = 0.0;
+  for (double b : rep.busy) t += b;
+  return t;
+}
+
+// Max absolute column sum.
+double norm_one(const ConstMatrixView& a) {
+  double worst = 0.0;
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < a.rows(); ++i) sum += std::abs(a(i, j));
+    worst = std::max(worst, sum);
+  }
+  return worst;
+}
+
+bool same_bits(const ConstMatrixView& a, const ConstMatrixView& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const double x = a(i, j), y = b(i, j);
+      if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
 }
 
 // ----------------------------------------------------- block reflector T
@@ -81,8 +115,7 @@ TEST(RuntimeQr, ReconstructsOriginalMatrix) {
   const PanelDistribution d = PanelDistribution::from_counts(
       {3, 1}, {2, 1}, g, PanelOrder::kContiguous, PanelOrder::kContiguous,
       "het");
-  const VirtualQrReport rep =
-      run_distributed_qr(free_machine(g), d, a.view(), block);
+  const MpQrReport rep = run_mp_qr(free_machine(g), d, a.view(), block);
   ASSERT_EQ(rep.tau.size(), n);
 
   const Matrix qmat = qr_form_q(a.view(), rep.tau);
@@ -108,8 +141,7 @@ TEST(RuntimeQr, MatchesSequentialUnblockedFactors) {
   const QrResult sres = qr_factor(seq.view());
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const VirtualQrReport rep =
-      run_distributed_qr(free_machine(g), d, par.view(), block);
+  const MpQrReport rep = run_mp_qr(free_machine(g), d, par.view(), block);
 
   EXPECT_LT(max_abs_diff(seq.view(), par.view()), 1e-10);
   for (std::size_t i = 0; i < n; ++i)
@@ -125,8 +157,7 @@ TEST(RuntimeQr, RaggedBlocksStillCorrect) {
   a.view().copy_from(orig.view());
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const VirtualQrReport rep =
-      run_distributed_qr(free_machine(g), d, a.view(), block);
+  const MpQrReport rep = run_mp_qr(free_machine(g), d, a.view(), block);
 
   const Matrix qmat = qr_form_q(a.view(), rep.tau);
   Matrix r(n, n, 0.0);
@@ -146,9 +177,9 @@ TEST(RuntimeQr, ChargesMoreThanLuOnSameMachine) {
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
   const Machine m = free_machine(g);
-  const VirtualLuReport lu = run_distributed_lu(m, d, a1.view(), block);
-  const VirtualQrReport qr = run_distributed_qr(m, d, a2.view(), block);
-  EXPECT_GT(qr.compute_time, lu.compute_time);
+  const MpReport lu = run_mp_lu(m, d, a1.view(), block);
+  const MpQrReport qr = run_mp_qr(m, d, a2.view(), block);
+  EXPECT_GT(total_busy(qr), total_busy(lu));
 }
 
 // ----------------------------------------------------- distributed Cholesky
@@ -165,8 +196,7 @@ TEST(RuntimeCholesky, ReconstructsSpdMatrix) {
   const PanelDistribution d = PanelDistribution::from_counts(
       {3, 1}, {2, 1}, g, PanelOrder::kContiguous, PanelOrder::kInterleaved,
       "het");
-  const VirtualCholeskyReport rep =
-      run_distributed_cholesky(free_machine(g), d, a.view(), block);
+  const MpReport rep = run_mp_cholesky(free_machine(g), d, a.view(), block);
   ASSERT_TRUE(rep.factorized);
   const Matrix rec = cholesky_reconstruct(a.view());
   EXPECT_LT(max_abs_diff(rec.view(), orig.view()) / norm_max(orig.view()),
@@ -185,14 +215,14 @@ TEST(RuntimeCholesky, MatchesSequentialBlockedFactors) {
   ASSERT_TRUE(cholesky_factor_blocked(seq.view(), block));
   const CycleTimeGrid g(2, 2, {1, 2, 3, 5});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  ASSERT_TRUE(run_distributed_cholesky(free_machine(g), d, par.view(), block)
-                  .factorized);
+  ASSERT_TRUE(
+      run_mp_cholesky(free_machine(g), d, par.view(), block).factorized);
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = j; i < n; ++i)
       EXPECT_NEAR(seq(i, j), par(i, j), 1e-10) << i << "," << j;
 }
 
-TEST(RuntimeCholesky, VirtualComputeMatchesSimulator) {
+TEST(RuntimeCholesky, BusyMatchesSimulator) {
   const std::size_t n = 24, block = 4, nb = n / block;
   Rng rng(23);
   Matrix a(n, n);
@@ -200,10 +230,9 @@ TEST(RuntimeCholesky, VirtualComputeMatchesSimulator) {
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
   const Machine m = free_machine(g);
-  const VirtualCholeskyReport vr =
-      run_distributed_cholesky(m, d, a.view(), block);
+  const MpReport vr = run_mp_cholesky(m, d, a.view(), block);
   const SimReport sr = simulate_cholesky(m, d, nb);
-  EXPECT_NEAR(vr.compute_time, sr.compute_time, 1e-9);
+  ASSERT_EQ(vr.busy.size(), sr.busy.size());
   for (std::size_t i = 0; i < vr.busy.size(); ++i)
     EXPECT_NEAR(vr.busy[i], sr.busy[i], 1e-9) << "proc " << i;
 }
@@ -213,8 +242,7 @@ TEST(RuntimeCholesky, ReportsNonSpdMatrix) {
   for (std::size_t i = 0; i < 6; ++i) a(i, i) = -1.0;
   const Machine m = free_machine(CycleTimeGrid(1, 1, {1.0}));
   const PanelDistribution d = PanelDistribution::block_cyclic(1, 1);
-  EXPECT_FALSE(
-      run_distributed_cholesky(m, d, a.view(), 2).factorized);
+  EXPECT_FALSE(run_mp_cholesky(m, d, a.view(), 2).factorized);
 }
 
 TEST(RuntimeCholesky, CheaperThanLuOnSameMatrix) {
@@ -229,10 +257,8 @@ TEST(RuntimeCholesky, CheaperThanLuOnSameMatrix) {
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
   const Machine m = free_machine(g);
-  const double t_lu =
-      run_distributed_lu(m, d, a_lu.view(), block).compute_time;
-  const double t_ch =
-      run_distributed_cholesky(m, d, a_ch.view(), block).compute_time;
+  const double t_lu = total_busy(run_mp_lu(m, d, a_lu.view(), block));
+  const double t_ch = total_busy(run_mp_cholesky(m, d, a_ch.view(), block));
   EXPECT_LT(t_ch, t_lu);
 }
 
@@ -251,12 +277,12 @@ TEST(RuntimePivotedLu, MatchesSequentialBlockedFactorsExactly) {
   const LuResult sres = lu_factor_blocked(seq.view(), block);
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
-  const VirtualPivotedLuReport rep = run_distributed_lu_pivoted(
-      free_machine(g), d, par.view(), block);
+  const MpPivotedLuReport rep =
+      run_mp_lu_pivoted(free_machine(g), d, par.view(), block);
 
   EXPECT_FALSE(rep.singular);
   EXPECT_EQ(rep.piv, sres.piv);
-  EXPECT_LT(max_abs_diff(seq.view(), par.view()), 1e-12);
+  EXPECT_TRUE(same_bits(seq.view(), par.view()));
 }
 
 TEST(RuntimePivotedLu, SolvesGeneralSystem) {
@@ -274,35 +300,84 @@ TEST(RuntimePivotedLu, SolvesGeneralSystem) {
   lu.view().copy_from(a_orig.view());
   const CycleTimeGrid g(2, 3, {1, 2, 3, 2, 4, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 3);
-  const VirtualPivotedLuReport rep = run_distributed_lu_pivoted(
-      free_machine(g), d, lu.view(), block);
+  const MpPivotedLuReport rep =
+      run_mp_lu_pivoted(free_machine(g), d, lu.view(), block);
   ASSERT_FALSE(rep.singular);
   lu_solve(lu.view(), rep.piv, b.view());
   EXPECT_LT(max_abs_diff(b.view(), x_true.view()), 1e-9);
 }
 
-TEST(RuntimePivotedLu, ChargesSwapCommunication) {
+TEST(RuntimePivotedLu, RowSwapsTravelAsMessages) {
+  // Every message except the swap bundles depends only on the shapes, so a
+  // run whose pivots are all on the diagonal bounds the traffic from
+  // below; random data forces cross-processor swaps on top of it.
   const std::size_t n = 24, block = 4;
-  Rng rng(63);
-  Matrix a(n, n);
-  fill_random(a.view(), rng);
   const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
   const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
   Machine m = free_machine(g);
   m.net = {Topology::kSwitched, 1e-3, 1e-3, true};
-  const VirtualPivotedLuReport rep =
-      run_distributed_lu_pivoted(m, d, a.view(), block);
-  // With random data, cross-grid-row pivot swaps are all but certain.
-  EXPECT_GT(rep.comm_time, 0.0);
+
+  Matrix ident(n, n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) ident(i, i) = 2.0;
+  const MpPivotedLuReport still = run_mp_lu_pivoted(m, d, ident.view(), block);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(still.piv[i], i);
+
+  Rng rng(63);
+  Matrix a(n, n);
+  fill_random(a.view(), rng);
+  const MpPivotedLuReport moved = run_mp_lu_pivoted(m, d, a.view(), block);
+  EXPECT_GT(moved.messages, still.messages);
+  EXPECT_GT(moved.blocks_moved, still.blocks_moved);
+  EXPECT_EQ(moved.busy, still.busy);  // swaps are communication only
 }
 
 TEST(RuntimePivotedLu, DetectsSingularMatrix) {
-  Matrix a(6, 6, 1.0);  // rank 1
-  const Machine m = free_machine(CycleTimeGrid(1, 1, {1.0}));
-  const PanelDistribution d = PanelDistribution::block_cyclic(1, 1);
-  const VirtualPivotedLuReport rep =
-      run_distributed_lu_pivoted(m, d, a.view(), 2);
+  // A singular input runs to completion, like lu_factor_blocked.
+  const std::size_t n = 6;
+  Matrix a(n, n, 1.0);  // rank 1
+  Matrix seq(n, n, 1.0);
+  const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
+  const PanelDistribution d = PanelDistribution::block_cyclic(2, 2);
+  const MpPivotedLuReport rep =
+      run_mp_lu_pivoted(free_machine(g), d, a.view(), 2);
+  const LuResult sres = lu_factor_blocked(seq.view(), 2);
   EXPECT_TRUE(rep.singular);
+  EXPECT_EQ(rep.piv, sres.piv);
+  EXPECT_TRUE(same_bits(a.view(), seq.view()));
+}
+
+TEST(RuntimePivotedLu, ScaledBackwardErrorOnGeneralMatrix) {
+  // ||PA - LU||_1 / (n eps ||A||_1) <= 1 on a general (non-dominant)
+  // matrix, for every thread count.
+  const std::size_t n = 512, block = 64;
+  Rng rng(64);
+  Matrix orig(n, n);
+  fill_random(orig.view(), rng);
+  const CycleTimeGrid g(2, 2, {1, 2, 3, 6});
+  const PanelDistribution d = PanelDistribution::from_counts(
+      {3, 1}, {2, 1}, g, PanelOrder::kContiguous, PanelOrder::kInterleaved,
+      "het");
+  for (unsigned threads : {1u, 2u, 7u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    Matrix lu(n, n);
+    lu.view().copy_from(orig.view());
+    RuntimeOptions opts;
+    opts.threads = threads;
+    const MpPivotedLuReport rep = run_mp_lu_pivoted(
+        free_machine(g), d, lu.view(), block, {}, nullptr, opts);
+    ASSERT_FALSE(rep.singular);
+    Matrix pa(n, n);
+    pa.view().copy_from(orig.view());
+    lu_apply_pivots(rep.piv, pa.view());
+    const Matrix prod = lu_reconstruct(lu.view(), n);
+    Matrix diff(n, n);
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t i = 0; i < n; ++i) diff(i, j) = pa(i, j) - prod(i, j);
+    const double eps = std::numeric_limits<double>::epsilon();
+    EXPECT_LE(norm_one(diff.view()) /
+                  (static_cast<double>(n) * eps * norm_one(orig.view())),
+              1.0);
+  }
 }
 
 // ----------------------------------------------------- simulator parity

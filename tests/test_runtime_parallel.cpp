@@ -1,5 +1,5 @@
-// Tests for the parallel numerics engine: the serial/parallel bit-identity
-// guarantee of the message-passing and virtual runtimes, the threaded and
+// Tests for parallel numerics: the serial/parallel bit-identity guarantee
+// of the message-passing runtime (pivoted LU included), the threaded and
 // packed GEMM paths, the block-store hash/pool upgrades that ride along
 // with it, and the process-wide buffer pool behind the block stores.
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "dist/kalinov_lastovetsky.hpp"
@@ -22,8 +23,7 @@
 #include "mp/mp_runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/virtual_runtime.hpp"
-#include "util/parallel_engine.hpp"
+#include "util/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace hetgrid {
@@ -76,6 +76,11 @@ Machine het_machine(std::uint64_t seed, std::size_t p, std::size_t q) {
 }
 
 constexpr unsigned kThreadCounts[] = {2, 7};
+
+// Restores runtime kernel detection no matter how a test exits.
+struct KernelGuard {
+  ~KernelGuard() { gemm_force_kernel("auto"); }
+};
 
 // ----------------------------------------------------- hash regression
 
@@ -377,102 +382,105 @@ TEST(MpParallel, ThreadsZeroMeansAllHardwareThreads) {
                   run_mmm(machine, dist, 16, 4, 0));
 }
 
-// ----------------------------------------------------- virtual runtime
-
-TEST(VirtualParallel, MmmBitIdentical) {
-  const Machine machine = het_machine(43, 2, 3);
-  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
-  Rng rng(19);
-  Matrix a(28, 28), b(28, 28);
-  fill_random(a.view(), rng);
-  fill_random(b.view(), rng);
-  Matrix c1(28, 28), c4(28, 28);
-  const VirtualReport r1 =
-      run_distributed_mmm(machine, dist, a.view(), b.view(), c1.view(), 6);
-  RuntimeOptions opts;
-  opts.threads = 4;
-  const VirtualReport r4 = run_distributed_mmm(
-      machine, dist, a.view(), b.view(), c4.view(), 6, {}, nullptr, opts);
-  EXPECT_EQ(r1.makespan, r4.makespan);
-  EXPECT_EQ(r1.busy, r4.busy);
-  EXPECT_EQ(r1.block_ops, r4.block_ops);
-  EXPECT_TRUE(same_bits(c1.view(), c4.view()));
-}
-
-TEST(VirtualParallel, LuBitIdentical) {
-  const Machine machine = het_machine(47, 2, 2);
-  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
-  Rng rng(23);
-  Matrix a1(28, 28);
-  fill_diagonally_dominant(a1.view(), rng);
-  Matrix a4 = a1;
-  const VirtualLuReport r1 = run_distributed_lu(machine, dist, a1.view(), 6);
-  RuntimeOptions opts;
-  opts.threads = 4;
-  const VirtualLuReport r4 =
-      run_distributed_lu(machine, dist, a4.view(), 6, {}, nullptr, opts);
-  EXPECT_EQ(r1.makespan, r4.makespan);
-  EXPECT_EQ(r1.busy, r4.busy);
-  EXPECT_TRUE(r4.factorized);
-  EXPECT_TRUE(same_bits(a1.view(), a4.view()));
-}
-
-TEST(VirtualParallel, PivotedLuBitIdentical) {
-  const Machine machine = het_machine(53, 2, 2);
-  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
-  Rng rng(29);
-  Matrix a1(24, 24);
-  fill_random(a1.view(), rng);
-  Matrix a4 = a1;
-  const VirtualPivotedLuReport r1 =
-      run_distributed_lu_pivoted(machine, dist, a1.view(), 6);
-  RuntimeOptions opts;
-  opts.threads = 4;
-  const VirtualPivotedLuReport r4 = run_distributed_lu_pivoted(
-      machine, dist, a4.view(), 6, {}, nullptr, opts);
-  EXPECT_EQ(r1.makespan, r4.makespan);
-  EXPECT_EQ(r1.piv, r4.piv);
-  EXPECT_FALSE(r4.singular);
-  EXPECT_TRUE(same_bits(a1.view(), a4.view()));
-}
-
-TEST(VirtualParallel, QrBitIdentical) {
-  // QR is the sharp determinism case: pass 1 accumulates different block
-  // rows into one shared W block per trailing column, so the lanes must be
-  // keyed by block column for the sums to stay in canonical order.
+TEST(MpParallel, RectangularQrBitIdenticalAcrossThreadCounts) {
+  // QR is the sharp determinism case: the W partials of every trailing
+  // column are reduced across grid rows, so the adds must chain in a fixed
+  // order for any thread count. Tall and thin, as least squares uses it.
   const Machine machine = het_machine(59, 2, 2);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
+  RuntimeOptions opts;
   Rng rng(31);
   Matrix a1(32, 20);
   fill_random(a1.view(), rng);
-  Matrix a4 = a1;
-  const VirtualQrReport r1 = run_distributed_qr(machine, dist, a1.view(), 5);
-  RuntimeOptions opts;
-  opts.threads = 4;
-  const VirtualQrReport r4 =
-      run_distributed_qr(machine, dist, a4.view(), 5, {}, nullptr, opts);
-  EXPECT_EQ(r1.makespan, r4.makespan);
-  EXPECT_EQ(r1.tau, r4.tau);
-  EXPECT_TRUE(same_bits(a1.view(), a4.view()));
+  const MpQrReport r1 =
+      run_mp_qr(machine, dist, a1.view(), 5, {}, nullptr, opts);
+  for (unsigned t : kThreadCounts) {
+    Rng rng_t(31);
+    Matrix at(32, 20);
+    fill_random(at.view(), rng_t);
+    opts.threads = t;
+    const MpQrReport rt =
+        run_mp_qr(machine, dist, at.view(), 5, {}, nullptr, opts);
+    expect_same_report(r1, rt);
+    EXPECT_EQ(r1.tau, rt.tau);
+    EXPECT_TRUE(same_bits(a1.view(), at.view()));
+  }
 }
 
-TEST(VirtualParallel, CholeskyBitIdentical) {
+// ----------------------------------------------------- pivoted LU
+
+// run_mp_lu_pivoted against lu_factor_blocked, bit for bit in both the
+// factors and the pivots: every (n, block) shape x threads {1, 2, 7} x
+// {scalar, avx2} x {static, planted 4x straggler with panel rebalancing}.
+// The straggler is grid column 0, which makes the rebalancer move block
+// rows as well as columns, so later row swaps reach finished columns whose
+// blocks stayed with their old owners.
+TEST(MpPivotedLu, BitIdenticalToBlockedLu) {
+  KernelGuard guard;
+  const Machine machine = het_machine(53, 2, 2);
+  const PanelDistribution dist = PanelDistribution::block_cyclic(2, 2);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {48, 4}, {48, 6}, {512, 64}};
+  for (const auto& [n, block] : shapes) {
+    Rng rng(29 + n + block);
+    Matrix orig(n, n);
+    fill_random(orig.view(), rng);  // general matrix: pivoting required
+    Matrix want = orig;
+    const LuResult ref = lu_factor_blocked(want.view(), block);
+    ASSERT_FALSE(ref.singular);
+    for (const char* kernel : {"scalar", "avx2"}) {
+      if (!gemm_force_kernel(kernel)) continue;  // host lacks AVX2
+      for (unsigned threads : {1u, 2u, 7u}) {
+        for (const bool rebalance : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " block=" << block << " " << kernel
+                       << " threads=" << threads
+                       << " rebalance=" << rebalance);
+          RuntimeOptions opts;
+          opts.threads = threads;
+          if (rebalance) {
+            opts.rebalance = RuntimeOptions::Rebalance::kPanel;
+            opts.trace = CycleTimeTrace::straggler({0, 2}, 4.0, 0);
+            opts.estimator.alpha = 1.0;
+            opts.estimator.min_samples = 1;
+          }
+          Matrix got = orig;
+          const MpPivotedLuReport rep = run_mp_lu_pivoted(
+              machine, dist, got.view(), block, {}, nullptr, opts);
+          EXPECT_FALSE(rep.singular);
+          EXPECT_EQ(rep.piv, ref.piv);
+          EXPECT_TRUE(same_bits(got.view(), want.view()));
+          if (rebalance && n == 48) {
+            EXPECT_GE(rep.rebalances, 1u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MpPivotedLu, ReportAndTraceBitIdenticalAcrossThreadCounts) {
   const Machine machine = het_machine(61, 2, 3);
   const PanelDistribution dist = PanelDistribution::block_cyclic(2, 3);
-  Rng rng(37);
-  Matrix a1(30, 30);
-  fill_spd(a1.view(), rng);
-  Matrix a4 = a1;
-  const VirtualCholeskyReport r1 =
-      run_distributed_cholesky(machine, dist, a1.view(), 6);
-  RuntimeOptions opts;
-  opts.threads = 4;
-  const VirtualCholeskyReport r4 = run_distributed_cholesky(
-      machine, dist, a4.view(), 6, {}, nullptr, opts);
-  EXPECT_EQ(r1.makespan, r4.makespan);
-  EXPECT_EQ(r1.busy, r4.busy);
-  EXPECT_TRUE(r4.factorized);
-  EXPECT_TRUE(same_bits(a1.view(), a4.view()));
+  auto run = [&](unsigned threads) {
+    Rng rng(37);
+    Matrix a(30, 30);
+    fill_random(a.view(), rng);
+    MemoryTraceSink sink;
+    RuntimeOptions opts;
+    opts.threads = threads;
+    MpPivotedLuReport rep =
+        run_mp_lu_pivoted(machine, dist, a.view(), 6, {}, &sink, opts);
+    return std::make_tuple(std::move(rep), std::move(a), sink.events());
+  };
+  const auto [r1, a1, e1] = run(1);
+  for (unsigned t : kThreadCounts) {
+    const auto [rt, at, et] = run(t);
+    expect_same_report(r1, rt);
+    EXPECT_EQ(r1.piv, rt.piv);
+    EXPECT_TRUE(same_bits(a1.view(), at.view()));
+    expect_same_events(e1, et);
+  }
 }
 
 // ----------------------------------------------------- gemm paths
@@ -485,21 +493,19 @@ TEST(GemmParallel, ThreadedOverloadBitIdenticalToSerial) {
   fill_random(c0.view(), rng);
   c1.view().copy_from(c0.view());
   gemm(Trans::No, Trans::No, 2.0, a.view(), b.view(), 0.5, c0.view());
-  ParallelEngine engine(3);
-  gemm(Trans::No, Trans::No, 2.0, a.view(), b.view(), 0.5, c1.view(),
-       engine);
+  ThreadPool pool(3);
+  gemm(Trans::No, Trans::No, 2.0, a.view(), b.view(), 0.5, c1.view(), pool);
   EXPECT_TRUE(same_bits(c0.view(), c1.view()));
 }
 
-TEST(GemmParallel, ThreadedOverloadSerialEngineFallsBack) {
+TEST(GemmParallel, ThreadedOverloadOneWorkerFallsBack) {
   Rng rng(71);
   Matrix a(20, 20), b(20, 20), c0(20, 20, 0.0), c1(20, 20, 0.0);
   fill_random(a.view(), rng);
   fill_random(b.view(), rng);
   gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c0.view());
-  ParallelEngine engine(1);
-  gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c1.view(),
-       engine);
+  ThreadPool pool(1);
+  gemm(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c1.view(), pool);
   EXPECT_TRUE(same_bits(c0.view(), c1.view()));
 }
 
@@ -524,15 +530,15 @@ TEST(GemmParallel, ThreadedTransposedOperandsBitIdentical) {
   fill_random(a.view(), rng);
   fill_random(b.view(), rng);
   gemm(Trans::Yes, Trans::Yes, -1.0, a.view(), b.view(), 1.0, c0.view());
-  ParallelEngine engine(4);
+  ThreadPool pool(4);
   gemm(Trans::Yes, Trans::Yes, -1.0, a.view(), b.view(), 1.0, c1.view(),
-       engine);
+       pool);
   EXPECT_TRUE(same_bits(c0.view(), c1.view()));
 }
 
 TEST(GemmParallel, ThreadedAllTransposeCombosMatchReference) {
   // Every (trans_a, trans_b) combination through the threaded-stripe
-  // overload, wide enough (n = 300) that the engine actually splits
+  // overload, wide enough (n = 300) that the pool actually splits
   // stripes: must match the naive reference numerically and the serial
   // overload bit-for-bit.
   Rng rng(83);
@@ -547,8 +553,8 @@ TEST(GemmParallel, ThreadedAllTransposeCombosMatchReference) {
       fill_random(c.view(), rng);
       c_serial.view().copy_from(c.view());
       c_ref.view().copy_from(c.view());
-      ParallelEngine engine(3);
-      gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c.view(), engine);
+      ThreadPool pool(3);
+      gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c.view(), pool);
       gemm(ta, tb, 1.5, a.view(), b.view(), -0.5, c_serial.view());
       gemm_reference(ta, tb, 1.5, a.view(), b.view(), -0.5, c_ref.view());
       EXPECT_TRUE(same_bits(c.view(), c_serial.view()))
@@ -560,11 +566,6 @@ TEST(GemmParallel, ThreadedAllTransposeCombosMatchReference) {
 }
 
 // ----------------------------------------------------- kernel dispatch
-
-// Restores runtime kernel detection no matter how a test exits.
-struct KernelGuard {
-  ~KernelGuard() { gemm_force_kernel("auto"); }
-};
 
 TEST(GemmKernel, DispatchReportsAKnownKernel) {
   KernelGuard guard;
@@ -735,7 +736,7 @@ TEST(GemmKernel, SmallPathNBoundBitSafe) {
 
 // Canonical rendering of the gemm call counters — the part of a metrics
 // snapshot the determinism contract pins across thread counts. (The full
-// snapshot also holds pool/engine wall-clock histograms, which exist only
+// snapshot also holds pool wall-clock histograms, which exist only
 // when a pool runs; those are documented as wall-clock-valued and excluded
 // from the byte-stability guarantee.)
 std::string gemm_counter_fingerprint(MetricsRegistry& m) {
@@ -751,33 +752,33 @@ std::string counted_gemm_workload(unsigned threads) {
   install_metrics(&reg);
   {
     Rng rng(101);
-    ParallelEngine engine(threads);
+    ThreadPool pool(threads);
     // One packed logical call, wide enough to split into several stripes.
     Matrix a(96, 80), b(80, 512), c(96, 512);
     fill_random(a.view(), rng);
     fill_random(b.view(), rng);
     fill_random(c.view(), rng);
     gemm(Trans::No, Trans::No, 1.5, a.view(), b.view(), 0.5, c.view(),
-         engine);
+         pool);
     // One tile-sized call, one transposed call, one alpha == 0 call.
     Matrix sa(32, 16), sb(16, 40), sc(32, 40, 0.0);
     fill_random(sa.view(), rng);
     fill_random(sb.view(), rng);
     gemm(Trans::No, Trans::No, 1.0, sa.view(), sb.view(), 0.0, sc.view(),
-         engine);
+         pool);
     Matrix ta(16, 32), tc(32, 40, 0.0);
     fill_random(ta.view(), rng);
     gemm(Trans::Yes, Trans::No, 1.0, ta.view(), sb.view(), 0.0, tc.view(),
-         engine);
+         pool);
     gemm(Trans::No, Trans::No, 0.0, sa.view(), sb.view(), 1.0, sc.view(),
-         engine);
+         pool);
   }
   install_metrics(nullptr);
   return gemm_counter_fingerprint(reg);
 }
 
 TEST(GemmMetrics, CallCountersIdenticalAcrossThreadCounts) {
-  // Regression for the per-stripe counting bug: the ParallelEngine overload
+  // Regression for the per-stripe counting bug: the threaded overload
   // used to recurse into the counted serial gemm once per column stripe, so
   // gemm.calls / gemm.packed_calls grew with the thread count. Counting the
   // logical call once restores the "call counts never depend on the thread

@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # Tier-1 verification: strict (-Werror) configure + build + full test run,
 # in an isolated build-ci/ tree so it never disturbs the dev build/. Then a
-# smoke run of the runtime-scaling bench (crosses the parallel numerics
-# engine's serial/parallel seam and asserts bit-identity), the placement
+# smoke run of the runtime-scaling bench (crosses the MP runtime's
+# serial/parallel seam and asserts bit-identity), the placement
 # server's concurrent-loopback and throughput smokes with their regression
-# gates, a documentation link check, a ThreadSanitizer pass over the
-# concurrent pieces (the exact solver's thread pool, the message-passing
-# runtime, the parallel numerics engine, and the placement server) in
+# gates, the self-checking examples, a documentation link check, a
+# ThreadSanitizer pass over the concurrent pieces (the exact solver's
+# thread pool, the message-passing runtime and its task graph, the threaded
+# gemm, and the placement server) in
 # build-tsan/, and finally the full test suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer in build-asan/.
 # Usage: tools/ci.sh  (from the repository root; any CMake >= 3.16 works,
@@ -150,6 +151,13 @@ if build-ci/bench/bench_compare --base=build-ci/BENCH_server_smoke.json \
   echo "bench_compare failed to flag an injected server regression" >&2
   exit 1
 fi
+
+# Examples that check their own results and exit non-zero on a failed
+# check: distributed GEMM, pivoted LU solve, and QR least squares, all on
+# the message-passing runtime.
+for example in hnow_gemm lu_solver qr_least_squares; do
+  build-ci/examples/"$example" >/dev/null
+done
 
 # Documentation link check: every doc page must be indexed in the
 # architecture map, and every relative markdown link in the user-facing
